@@ -104,6 +104,18 @@ def boxes_to_corners(boxes) -> np.ndarray:
     return np.array([b.to_corners() for b in boxes], dtype=np.float64)
 
 
+def xyah_to_corners(rows: np.ndarray) -> np.ndarray:
+    """``(N, 4)`` rows of ``[x, y, a, h]`` to corner form, as :meth:`BoundingBox.to_corners`.
+
+    Rows are not validated; a row with ``a <= 0`` or ``h <= 0`` gives a
+    degenerate or inverted box.
+    """
+    corners = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    corners[:, 2] = corners[:, 0] + corners[:, 2] * corners[:, 3]
+    corners[:, 3] += corners[:, 1]
+    return corners
+
+
 def pairwise_iou(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two corner arrays, shape ``(M, N)``.
 
@@ -117,7 +129,7 @@ def pairwise_iou(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
     b = np.asarray(corners_b, dtype=np.float64)[None, :, :]
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     # valid boxes have positive area, so the union is always positive
@@ -142,7 +154,7 @@ def pairwise_shape_iou_distance(
     b = np.asarray(corners_b, dtype=np.float64)[None, :, :]
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     h_a = a[..., 3] - a[..., 1]
     h_b = b[..., 3] - b[..., 1]
     area_a = (a[..., 2] - a[..., 0]) * h_a

@@ -15,17 +15,23 @@ Two confidence mechanisms hook into the update:
   ``score * posterior + (1 - score) * prior``, so a low-quality box cannot
   yank the motion estimate around.
 
-All operations are value-in/value-out on immutable snapshots; callers never
+Each operation has one implementation, a batched kernel over a table of
+states: row ``i`` of an ``(N, 8)`` mean array and an ``(N, 8, 8)``
+covariance array is one filter.  The tracker calls the ``batch_*`` kernels
+on its whole track table once per frame; :func:`initiate`, :func:`predict`,
+:func:`update` and :func:`project` are one-row calls into them for a single
+:class:`KalmanState`.  All operations are value-in/value-out; callers never
 observe partial updates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import BoundingBox, Detection
+from .geometry import BoundingBox, Detection, xyah_to_corners
 
 STATE_DIM = 8
 MEASUREMENT_DIM = 4
@@ -34,7 +40,7 @@ MEASUREMENT_DIM = 4
 _TRANSITION = np.eye(STATE_DIM)
 for _i in range(MEASUREMENT_DIM):
     _TRANSITION[_i, MEASUREMENT_DIM + _i] = 1.0
-_OBSERVATION = np.eye(MEASUREMENT_DIM, STATE_DIM)
+_IDENTITY = np.eye(STATE_DIM)
 
 # aspect ratio is dimensionless; its noise does not scale with box height
 _ASPECT_STD = 1e-2
@@ -71,95 +77,159 @@ class KalmanState:
     covariance: np.ndarray
 
 
+# Each kernel's noise standard deviations are ``h * weight + constant`` per
+# state component, ``h`` being the box height: the weights come from the
+# NoiseConfig, the constants are the aspect-ratio terms.
+_STD_CONSTANTS = {
+    "initiate": np.array([0, 0, _ASPECT_STD, 0, 0, 0, _ASPECT_VELOCITY_STD, 0]),
+    "predict": np.array([0, 0, _ASPECT_STD, 0, 0, 0, _ASPECT_VELOCITY_STD, 0]),
+    "measure": np.array([0, 0, _ASPECT_MEASUREMENT_STD, 0]),
+}
+
+
+@lru_cache(maxsize=32)
+def _std_weights(config: NoiseConfig) -> dict:
+    """Per-kernel weight rows, built once per configuration (read-only)."""
+    wp, wv = config.std_weight_position, config.std_weight_velocity
+    weights = {
+        "initiate": np.array([2 * wp, 2 * wp, 0, 2 * wp, 10 * wv, 10 * wv, 0, 10 * wv]),
+        "predict": np.array([wp, wp, 0, wp, wv, wv, 0, wv]),
+        "measure": np.array([wp, wp, 0, wp]),
+    }
+    for row in weights.values():
+        row.flags.writeable = False
+    return weights
+
+
+def _variances(kernel: str, h: np.ndarray, config: NoiseConfig) -> np.ndarray:
+    """Diagonal noise variances of one kernel, one row per height in ``h``."""
+    return np.square(h[:, None] * _std_weights(config)[kernel] + _STD_CONSTANTS[kernel])
+
+
+def _add_diagonal(matrices: np.ndarray, rows: np.ndarray) -> None:
+    """Add ``rows[i]`` to the diagonal of ``matrices[i]`` in place (C-contiguous stack)."""
+    n, d, _ = matrices.shape
+    matrices.reshape(n, d * d)[:, :: d + 1] += rows
+
+
+def _symmetrized(matrices: np.ndarray) -> np.ndarray:
+    return 0.5 * (matrices + matrices.transpose(0, 2, 1))
+
+
+def batch_initiate(measurements: np.ndarray, config: NoiseConfig = NoiseConfig()):
+    """Start one state per ``[x, y, a, h]`` row, all with zero velocity.
+
+    Returns ``(mean, covariance)`` of shapes ``(N, 8)`` and ``(N, 8, 8)``.
+    """
+    measurements = np.asarray(measurements, dtype=np.float64).reshape(-1, MEASUREMENT_DIM)
+    n = len(measurements)
+    mean = np.zeros((n, STATE_DIM))
+    mean[:, :MEASUREMENT_DIM] = measurements
+    covariance = np.zeros((n, STATE_DIM, STATE_DIM))
+    _add_diagonal(covariance, _variances("initiate", measurements[:, 3], config))
+    return mean, covariance
+
+
+def batch_predict(mean: np.ndarray, covariance: np.ndarray, config: NoiseConfig = NoiseConfig()):
+    """Advance every row by one frame under the constant-velocity model.
+
+    Process noise scales with each row's height before the step.  The inputs
+    are left untouched; fresh ``(mean, covariance)`` arrays are returned.
+    """
+    variances = _variances("predict", mean[:, 3], config)
+    new_mean = mean @ _TRANSITION.T
+    new_covariance = _TRANSITION @ covariance @ _TRANSITION.T
+    _add_diagonal(new_covariance, variances)
+    return new_mean, _symmetrized(new_covariance)
+
+
+def _measurement_variances(h: np.ndarray, scores: np.ndarray, config: NoiseConfig) -> np.ndarray:
+    """Diagonal measurement variances ``(N, 4)``, confidence-scaled when enabled."""
+    variances = _variances("measure", h, config)
+    if config.use_confidence_noise:
+        variances = variances * (1.0 - scores**2)[:, None]
+    return variances
+
+
+def batch_update(
+    mean: np.ndarray,
+    covariance: np.ndarray,
+    measurements: np.ndarray,
+    scores: np.ndarray,
+    config: NoiseConfig = NoiseConfig(),
+):
+    """Fold row ``i`` of ``measurements`` (``[x, y, a, h]``) at ``scores[i]`` into row ``i``.
+
+    One stacked 4x4 solve gives every gain; the posterior covariance uses the
+    Joseph form, which keeps it symmetric PSD even when the confidence-scaled
+    noise degenerates to zero at score 1.  The inputs are left untouched.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    noise = _measurement_variances(mean[:, 3], scores, config)
+
+    projected = covariance[:, :MEASUREMENT_DIM, :MEASUREMENT_DIM].copy()
+    _add_diagonal(projected, noise)
+    gain = np.linalg.solve(projected, covariance[:, :MEASUREMENT_DIM, :]).transpose(0, 2, 1)
+    innovation = measurements - mean[:, :MEASUREMENT_DIM]
+    new_mean = mean + (gain @ innovation[:, :, None])[:, :, 0]
+
+    identity_kh = np.repeat(_IDENTITY[None], len(mean), axis=0)
+    identity_kh[:, :, :MEASUREMENT_DIM] -= gain
+    new_covariance = identity_kh @ covariance @ identity_kh.transpose(0, 2, 1) + (
+        gain * noise[:, None, :]
+    ) @ gain.transpose(0, 2, 1)
+
+    if config.use_velocity_blend:
+        weight = scores[:, None]
+        new_mean[:, MEASUREMENT_DIM:] = (
+            weight * new_mean[:, MEASUREMENT_DIM:] + (1.0 - weight) * mean[:, MEASUREMENT_DIM:]
+        )
+    return new_mean, _symmetrized(new_covariance)
+
+
+def valid_rows(mean: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose box is finite with positive height and aspect ratio."""
+    box = mean[:, :MEASUREMENT_DIM]
+    return (box[:, 2] > 0) & (box[:, 3] > 0) & np.isfinite(box).all(axis=1)
+
+
+def batch_project(mean: np.ndarray):
+    """Corner boxes ``(N, 4)`` of the rows and their :func:`valid_rows` mask.
+
+    The corners of an invalid row are meaningless.
+    """
+    return xyah_to_corners(mean[:, :MEASUREMENT_DIM]), valid_rows(mean)
+
+
+def _box_row(box: BoundingBox) -> np.ndarray:
+    return np.array([[box.x, box.y, box.a, box.h]])
+
+
 def initiate(measurement: BoundingBox, config: NoiseConfig = NoiseConfig()) -> KalmanState:
     """Start a new state from an observed box with zero initial velocity."""
-    if measurement.h <= 0:
-        raise ValueError(f"measurement height must be positive, got {measurement.h}")
-    mean = np.array(
-        [measurement.x, measurement.y, measurement.a, measurement.h, 0.0, 0.0, 0.0, 0.0]
-    )
-    h = measurement.h
-    wp, wv = config.std_weight_position, config.std_weight_velocity
-    std = np.array(
-        [
-            2 * wp * h,
-            2 * wp * h,
-            _ASPECT_STD,
-            2 * wp * h,
-            10 * wv * h,
-            10 * wv * h,
-            _ASPECT_VELOCITY_STD,
-            10 * wv * h,
-        ]
-    )
-    return KalmanState(mean=mean, covariance=np.diag(np.square(std)))
+    mean, covariance = batch_initiate(_box_row(measurement), config)
+    return KalmanState(mean=mean[0], covariance=covariance[0])
 
 
 def predict(state: KalmanState, config: NoiseConfig = NoiseConfig()) -> KalmanState:
     """Advance the state by one frame under the constant-velocity model."""
-    h = state.mean[3]
-    wp, wv = config.std_weight_position, config.std_weight_velocity
-    std = np.array(
-        [
-            wp * h,
-            wp * h,
-            _ASPECT_STD,
-            wp * h,
-            wv * h,
-            wv * h,
-            _ASPECT_VELOCITY_STD,
-            wv * h,
-        ]
-    )
-    mean = _TRANSITION @ state.mean
-    covariance = _TRANSITION @ state.covariance @ _TRANSITION.T + np.diag(np.square(std))
-    covariance = 0.5 * (covariance + covariance.T)
-    return KalmanState(mean=mean, covariance=covariance)
+    mean, covariance = batch_predict(state.mean[None], state.covariance[None], config)
+    return KalmanState(mean=mean[0], covariance=covariance[0])
 
 
 def measurement_noise(state: KalmanState, score: float, config: NoiseConfig) -> np.ndarray:
     """Measurement covariance for the update, confidence-scaled when enabled."""
-    h = state.mean[3]
-    wp = config.std_weight_position
-    std = np.array([wp * h, wp * h, _ASPECT_MEASUREMENT_STD, wp * h])
-    noise = np.diag(np.square(std))
-    if config.use_confidence_noise:
-        noise = noise * (1.0 - score**2)
-    return noise
+    return np.diag(_measurement_variances(state.mean[None, 3], np.array([score]), config)[0])
 
 
 def update(
     state: KalmanState, detection: Detection, config: NoiseConfig = NoiseConfig()
 ) -> KalmanState:
-    """Fold one detection into a predicted state.
-
-    Raises ValueError for scores outside [0, 1] (the Detection type already
-    enforces this for well-typed callers).
-    """
-    score = detection.score
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"detection score must lie in [0, 1], got {score}")
-
-    mean, covariance = state.mean, state.covariance
-    noise = measurement_noise(state, score, config)
-    z = np.array([detection.box.x, detection.box.y, detection.box.a, detection.box.h])
-
-    projected = _OBSERVATION @ covariance @ _OBSERVATION.T + noise
-    gain = np.linalg.solve(projected, _OBSERVATION @ covariance).T
-    innovation = z - _OBSERVATION @ mean
-    new_mean = mean + gain @ innovation
-
-    # Joseph form keeps the posterior symmetric PSD even when the
-    # confidence-scaled noise degenerates to zero at score 1
-    identity_kh = np.eye(STATE_DIM) - gain @ _OBSERVATION
-    new_covariance = identity_kh @ covariance @ identity_kh.T + gain @ noise @ gain.T
-    new_covariance = 0.5 * (new_covariance + new_covariance.T)
-
-    if config.use_velocity_blend:
-        blended = score * new_mean[MEASUREMENT_DIM:] + (1.0 - score) * mean[MEASUREMENT_DIM:]
-        new_mean = np.concatenate([new_mean[:MEASUREMENT_DIM], blended])
-
-    return KalmanState(mean=new_mean, covariance=new_covariance)
+    """Fold one detection (its score lies in [0, 1]) into a predicted state."""
+    mean, covariance = batch_update(
+        state.mean[None], state.covariance[None], _box_row(detection.box), [detection.score], config
+    )
+    return KalmanState(mean=mean[0], covariance=covariance[0])
 
 
 def project(state: KalmanState) -> BoundingBox:
@@ -170,6 +240,6 @@ def project(state: KalmanState) -> BoundingBox:
     should be dropped by the caller.
     """
     x, y, a, h = (float(v) for v in state.mean[:MEASUREMENT_DIM])
-    if not (a > 0 and h > 0 and np.isfinite([x, y, a, h]).all()):
+    if not valid_rows(state.mean[None])[0]:
         raise InvalidStateError(f"state does not describe a valid box: a={a}, h={h}")
     return BoundingBox(x, y, a, h)

@@ -88,11 +88,14 @@ class MetricsReport:
         )
 
 
-def _normalize(frame_entries) -> list[tuple[int, BoundingBox]]:
-    out = []
-    for entry in frame_entries:
-        track_id, box = entry[0], entry[1]
-        out.append((int(track_id), box))
+def _normalize(frame_entries, source: str, frame) -> list[tuple[int, BoundingBox]]:
+    """``(id, box)`` pairs of one frame; an id may appear at most once."""
+    out = [(int(entry[0]), entry[1]) for entry in frame_entries]
+    seen: set[int] = set()
+    for track_id, _ in out:
+        if track_id in seen:
+            raise ValueError(f"{source} frame {frame} repeats id {track_id}")
+        seen.add(track_id)
     return out
 
 
@@ -108,10 +111,12 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
 
     Raises:
         ValueError: if the ground truth contains no boxes (the accuracy
-            denominator would be undefined).
+            denominator would be undefined), or if either input repeats an
+            id within a frame (the correspondence would be ambiguous); the
+            message names the frame and the id.
     """
-    gt = {frame: _normalize(rows) for frame, rows in gt.items() if rows}
-    results = {frame: _normalize(rows) for frame, rows in results.items() if rows}
+    gt = {frame: _normalize(rows, "ground truth", frame) for frame, rows in gt.items() if rows}
+    results = {frame: _normalize(rows, "results", frame) for frame, rows in results.items() if rows}
     gt_count = sum(len(rows) for rows in gt.values())
     if gt_count == 0:
         raise ValueError("ground truth is empty; tracking accuracy is undefined")

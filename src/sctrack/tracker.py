@@ -27,9 +27,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import assignment, geometry, kalman
 from .geometry import BoundingBox, Detection, ShapeIoUParams
-from .kalman import KalmanState, NoiseConfig
+from .kalman import NoiseConfig
 
 
 class TrackStatus(enum.Enum):
@@ -41,13 +43,15 @@ class TrackStatus(enum.Enum):
 
 @dataclass
 class Track:
-    """One tracked identity: id, motion state and lifecycle bookkeeping."""
+    """One tracked identity's lifecycle bookkeeping.
+
+    Its motion state is the row of the tracker's track table at the track's
+    position in :attr:`SCTracker.tracks`.
+    """
 
     track_id: int
-    state: KalmanState
     status: TrackStatus
     frames_since_update: int = 0
-    last_score: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -101,13 +105,32 @@ class FrameResult:
 
 
 class SCTracker:
-    """Stateful per-sequence tracker; call :meth:`step` once per frame."""
+    """Stateful per-sequence tracker; call :meth:`step` once per frame.
+
+    The live tracks form one table: ``tracks[i]`` holds the lifecycle of the
+    track whose filter state is row ``i`` of ``means`` ``(N, 8)`` and
+    ``covariances`` ``(N, 8, 8)``.  Each frame runs the batched filter
+    kernels once over the whole table.
+    """
 
     def __init__(self, config: TrackerConfig = TrackerConfig()):
         self.config = config
         self.tracks: list[Track] = []
+        self.means = np.zeros((0, kalman.STATE_DIM))
+        self.covariances = np.zeros((0, kalman.STATE_DIM, kalman.STATE_DIM))
         self._next_id = 1
         self._last_frame: int | None = None
+
+    def _drop_removed(self):
+        """Drop removed tracks and their table rows; returns the keep mask, or
+        None when nothing was removed."""
+        keep = [t.status is not TrackStatus.REMOVED for t in self.tracks]
+        if all(keep):
+            return None
+        self.tracks = [t for t, k in zip(self.tracks, keep) if k]
+        self.means = self.means[keep]
+        self.covariances = self.covariances[keep]
+        return keep
 
     def step(self, frame_index: int, detections) -> FrameResult:
         """Process one frame of detections and return the confirmed outputs.
@@ -129,105 +152,101 @@ class SCTracker:
         first_frame = self._last_frame is None
         self._last_frame = frame_index
         cfg = self.config
+        noise = cfg.noise_config
 
-        # retire tracks that have exhausted the lost budget before they can
-        # re-enter association
-        retained = []
-        for track in self.tracks:
-            if (
+        # advance every live track; before association, retire tracks that
+        # have exhausted the lost budget and drop tracks whose state degenerated
+        self.means, self.covariances = kalman.batch_predict(self.means, self.covariances, noise)
+        corners, valid = kalman.batch_project(self.means)
+        for track, ok in zip(self.tracks, valid.tolist()):
+            if not ok or (
                 track.status is TrackStatus.LOST
                 and track.frames_since_update >= cfg.max_lost_frames
             ):
                 track.status = TrackStatus.REMOVED
-            else:
-                retained.append(track)
-        self.tracks = retained
+        keep = self._drop_removed()
+        if keep is not None:
+            corners = corners[keep]
 
-        # advance every live track; drop tracks whose state degenerated
-        predicted_boxes: dict[int, BoundingBox] = {}
-        alive = []
-        for track in self.tracks:
-            track.state = kalman.predict(track.state, cfg.noise_config)
-            try:
-                predicted_boxes[track.track_id] = kalman.project(track.state)
-            except kalman.InvalidStateError:
-                track.status = TrackStatus.REMOVED
-                continue
-            alive.append(track)
-        self.tracks = alive
+        # detection rows [x, y, a, h, score]; index sets are Python lists, as
+        # the assignment results are
+        table = np.array([(d.box.x, d.box.y, d.box.a, d.box.h, d.score) for d in detections]).reshape(-1, 5)
+        measured = table[:, : kalman.MEASUREMENT_DIM]
+        det_corners = geometry.xyah_to_corners(measured)
+        high = [j for j, d in enumerate(detections) if d.score >= cfg.high_thresh]
+        low = [j for j, d in enumerate(detections) if cfg.low_thresh <= d.score < cfg.high_thresh]
 
-        high = [d for d in detections if d.score >= cfg.high_thresh]
-        low = [d for d in detections if cfg.low_thresh <= d.score < cfg.high_thresh]
-
-        def boxes_of(tracks):
-            return [predicted_boxes[t.track_id] for t in tracks]
+        def associate(rows, cols, gate):
+            """Solve one stage; returns (matched row/col pairs, unmatched rows, unmatched cols)."""
+            if not rows or not cols:
+                return [], rows, cols
+            result = assignment.solve(
+                geometry.pairwise_shape_iou_distance(corners[rows], det_corners[cols], cfg.shape_params),
+                gate,
+            )
+            return (
+                [(rows[r], cols[c]) for r, c in result.matches],
+                [rows[r] for r in result.unmatched_rows],
+                [cols[c] for c in result.unmatched_cols],
+            )
 
         # stage 1: confirmed + lost tracks vs high-confidence detections
-        pool = [t for t in self.tracks if t.status in (TrackStatus.CONFIRMED, TrackStatus.LOST)]
-        stage1 = assignment.solve(
-            geometry.cost_matrix(boxes_of(pool), [d.box for d in high], cfg.shape_params),
-            cfg.match_gate_stage1,
-        )
-        matched: list[tuple[Track, Detection]] = [(pool[r], high[c]) for r, c in stage1.matches]
+        pool = [i for i, t in enumerate(self.tracks) if t.status is not TrackStatus.TENTATIVE]
+        matched, remainder, high_left = associate(pool, high, cfg.match_gate_stage1)
 
         # stage 2: leftover tracks vs low-confidence detections
-        remainder = [pool[r] for r in stage1.unmatched_rows]
-        stage2 = assignment.solve(
-            geometry.cost_matrix(boxes_of(remainder), [d.box for d in low], cfg.shape_params),
-            cfg.match_gate_stage2,
-        )
-        matched += [(remainder[r], low[c]) for r, c in stage2.matches]
-        missed = [remainder[r] for r in stage2.unmatched_rows]
+        matched2, missed, _ = associate(remainder, low, cfg.match_gate_stage2)
+        matched += matched2
 
         # stage 3: tentative tracks vs the high detections nobody claimed
-        high_left = [high[c] for c in stage1.unmatched_cols]
-        tentative = [t for t in self.tracks if t.status is TrackStatus.TENTATIVE]
+        tentative = [i for i, t in enumerate(self.tracks) if t.status is TrackStatus.TENTATIVE]
         if cfg.use_unconfirmed_stage and tentative:
-            stage3 = assignment.solve(
-                geometry.cost_matrix(boxes_of(tentative), [d.box for d in high_left], cfg.shape_params),
-                cfg.match_gate_unconfirmed,
+            matched3, missed_tentative, high_left = associate(
+                tentative, high_left, cfg.match_gate_unconfirmed
             )
-            matched += [(tentative[r], high_left[c]) for r, c in stage3.matches]
-            missed_tentative = [tentative[r] for r in stage3.unmatched_rows]
-            high_left = [high_left[c] for c in stage3.unmatched_cols]
+            matched += matched3
         else:
             missed_tentative = tentative
 
         outputs: list[TrackOutput] = []
-        for track, det in matched:
-            track.state = kalman.update(track.state, det, cfg.noise_config)
-            track.status = TrackStatus.CONFIRMED
-            track.frames_since_update = 0
-            track.last_score = det.score
-            try:
-                box = kalman.project(track.state)
-            except kalman.InvalidStateError:
-                track.status = TrackStatus.REMOVED
-                continue
-            outputs.append(TrackOutput(track.track_id, box, det.score))
+        if matched:
+            rows = [r for r, _ in matched]
+            cols = [c for _, c in matched]
+            means, covariances = kalman.batch_update(
+                self.means[rows], self.covariances[rows], measured[cols], table[cols, 4], noise
+            )
+            self.means[rows], self.covariances[rows] = means, covariances
+            valid = kalman.valid_rows(means).tolist()
+            for row, col, box, ok in zip(rows, cols, means[:, : kalman.MEASUREMENT_DIM].tolist(), valid):
+                track = self.tracks[row]
+                track.frames_since_update = 0
+                if not ok:
+                    track.status = TrackStatus.REMOVED
+                    continue
+                track.status = TrackStatus.CONFIRMED
+                outputs.append(TrackOutput(track.track_id, BoundingBox(*box), detections[col].score))
 
-        for track in missed:
+        for row in missed:
+            track = self.tracks[row]
             track.frames_since_update += 1
             track.status = TrackStatus.LOST
-        for track in missed_tentative:
-            track.status = TrackStatus.REMOVED
-        self.tracks = [t for t in self.tracks if t.status is not TrackStatus.REMOVED]
+        for row in missed_tentative:
+            self.tracks[row].status = TrackStatus.REMOVED
+        self._drop_removed()
 
         # seed new tracks from confident leftovers
-        for det in high_left:
-            if det.score >= cfg.new_track_thresh:
-                status = TrackStatus.CONFIRMED if first_frame else TrackStatus.TENTATIVE
-                track = Track(
-                    track_id=self._next_id,
-                    state=kalman.initiate(det.box, cfg.noise_config),
-                    status=status,
-                    frames_since_update=0,
-                    last_score=det.score,
-                )
+        born = [j for j in high_left if detections[j].score >= cfg.new_track_thresh]
+        if born:
+            means, covariances = kalman.batch_initiate(measured[born], noise)
+            self.means = np.concatenate([self.means, means])
+            self.covariances = np.concatenate([self.covariances, covariances])
+            status = TrackStatus.CONFIRMED if first_frame else TrackStatus.TENTATIVE
+            for j in born:
+                track = Track(track_id=self._next_id, status=status)
                 self._next_id += 1
                 self.tracks.append(track)
                 if first_frame:
-                    outputs.append(TrackOutput(track.track_id, det.box, det.score))
+                    outputs.append(TrackOutput(track.track_id, detections[j].box, detections[j].score))
 
         outputs.sort(key=lambda o: o.track_id)
         return FrameResult(frame_index=frame_index, outputs=outputs)

@@ -130,6 +130,22 @@ class TestEval:
         res.write_text("")
         assert main(["eval", "--gt", str(gt), "--res", str(res)]) == 1
 
+    def test_repeated_result_id_is_an_error(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text(
+            "1,1,0,0,50,100,1,-1,-1,-1\n1,2,300,0,50,100,1,-1,-1,-1\n"
+            "2,1,0,0,50,100,1,-1,-1,-1\n2,2,300,0,50,100,1,-1,-1,-1\n"
+        )
+        res = tmp_path / "res.txt"
+        res.write_text(
+            "1,7,0,0,50,100,1,-1,-1,-1\n1,7,300,0,50,100,1,-1,-1,-1\n"
+            "2,7,0,0,50,100,1,-1,-1,-1\n2,7,300,0,50,100,1,-1,-1,-1\n"
+        )
+        assert main(["eval", "--gt", str(gt), "--res", str(res)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "frame 1 repeats id 7" in captured.err
+
 
 class TestSynth:
     def test_writes_scenario_files(self, tmp_path):

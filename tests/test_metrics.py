@@ -102,6 +102,26 @@ class TestEventCounting:
         assert report.idsw == 1 and report.fn == 1
 
 
+class TestDuplicateIds:
+    # one id at two boxes in a frame is ambiguous; it used to be scored
+    # silently (as matches=3, fp=1, fn=1 on this input)
+    def test_repeated_result_id_is_rejected_with_frame_and_id(self):
+        b1, b2 = box(0, 0), box(300, 0)
+        gt = {f: [(1, b1), (2, b2)] for f in (1, 2)}
+        results = {f: [(7, b1), (7, b2)] for f in (1, 2)}
+        with pytest.raises(ValueError, match=r"results frame 1 repeats id 7"):
+            evaluate(gt, results)
+
+    def test_repeated_ground_truth_id_is_rejected(self):
+        gt = {1: [(1, box(0, 0))], 4: [(1, box(0, 0)), (1, box(300, 0))]}
+        with pytest.raises(ValueError, match=r"ground truth frame 4 repeats id 1"):
+            evaluate(gt, {1: [(5, box(0, 0))]})
+
+    def test_same_id_in_different_frames_is_fine(self):
+        gt = {f: [(1, box(10 * f, 0))] for f in (1, 2)}
+        assert evaluate(gt, gt).mota == 1.0
+
+
 class TestInvariants:
     def test_mota_identity_recomputed(self):
         rng = np.random.default_rng(1)

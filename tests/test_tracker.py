@@ -219,6 +219,38 @@ class TestLifecycle:
         assert sorted(set(issued)) == list(range(1, max(issued) + 1))
 
 
+class TestTrackTable:
+    def test_degenerate_state_is_dropped_without_disturbing_other_rows(self):
+        # track 1 shrinks from h=100 to h=20 over frames 1-5 and then goes
+        # undetected; coasting on its shrink rate, its predicted height
+        # reaches ~1.5 at frame 6 and turns negative at frame 7
+        def frame_dets(frame, shrinking=True):
+            dets = [det(500, 0, 40, 100, 0.95)]
+            if shrinking and frame <= 5:
+                h = 100 - 20 * (frame - 1)
+                dets.insert(0, det(0, 0, 0.4 * h, h, 0.95))
+            return dets
+
+        tracker = SCTracker()
+        reference = SCTracker()  # sees the fixed box alone
+        for frame in range(1, 10):
+            result = tracker.step(frame, frame_dets(frame))
+            reference.step(frame, frame_dets(frame, shrinking=False))
+            assert len(tracker.means) == len(tracker.covariances) == len(tracker.tracks)
+            if frame == 6:
+                assert [t.track_id for t in tracker.tracks] == [1, 2]
+                assert tracker.tracks[0].status is TrackStatus.LOST
+                assert 1.0 < tracker.means[0, 3] < 2.0
+            if frame >= 7:
+                assert [t.track_id for t in tracker.tracks] == [2]
+            fixed = len(tracker.tracks) - 1  # the fixed box's row
+            assert tracker.tracks[fixed].status is TrackStatus.CONFIRMED
+            assert np.allclose(tracker.means[fixed], reference.means[0], rtol=0, atol=1e-12)
+            assert np.allclose(tracker.covariances[fixed], reference.covariances[0], rtol=0, atol=1e-12)
+            assert [o.track_id for o in result.outputs][-1] == 2
+            assert result.outputs[-1].box.h == pytest.approx(100.0, abs=1e-6)
+
+
 class TestRunSequence:
     def test_empty_input(self):
         assert run_sequence({}) == []
