@@ -11,7 +11,7 @@ import argparse
 import statistics
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import ablation, metrics, motio, synth
 from .geometry import ShapeIoUParams
@@ -55,15 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.add_argument("--seed", type=int, default=1, help="first seed (default 1)")
     ablate.add_argument("--num-seeds", type=int, default=10, help="number of seeds (default 10)")
     ablate.add_argument(
-        "--mode", choices=sorted(ARM_MODES), default="components",
+        "--mode", choices=sorted(ablation.ARM_FAMILIES), default="components",
         help="arm family to compare (default %(default)s)",
     )
     _add_config_flags(ablate)
 
     return parser
-
-
-ARM_MODES = dict(ablation.ARM_FAMILIES)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -88,34 +85,23 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _fields_in(cls, values: dict) -> dict:
+    """The entries of ``values`` that name a field of dataclass ``cls``."""
+    return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+
+
 def _tracker_config(args) -> TrackerConfig:
     values: dict = {}
     config_path = getattr(args, "config", None) or motio.default_config_path()
     if config_path:
         values.update(motio.load_config(config_path))
-
-    for key in (
-        "high_thresh", "low_thresh", "new_track_thresh",
-        "match_gate_stage1", "match_gate_stage2", "match_gate_unconfirmed",
-        "max_lost_frames",
-    ):
+    for key in motio.CONFIG_SCHEMA:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if getattr(args, "epsilon", None) is not None:
-        values["epsilon"] = args.epsilon
 
-    shape = ShapeIoUParams(
-        epsilon=values.pop("epsilon", ShapeIoUParams().epsilon),
-        use_height_term=values.pop("use_height_term", True),
-        use_area_term=values.pop("use_area_term", True),
-    )
-    noise = NoiseConfig(
-        std_weight_position=values.pop("std_weight_position", NoiseConfig().std_weight_position),
-        std_weight_velocity=values.pop("std_weight_velocity", NoiseConfig().std_weight_velocity),
-        use_confidence_noise=values.pop("use_confidence_noise", True),
-        use_velocity_blend=values.pop("use_velocity_blend", True),
-    )
+    shape = ShapeIoUParams(**_fields_in(ShapeIoUParams, values))
+    noise = NoiseConfig(**_fields_in(NoiseConfig, values))
     if getattr(args, "no_shape", False):
         shape = replace(shape, use_height_term=False, use_area_term=False)
     if getattr(args, "no_shape_height", False):
@@ -125,7 +111,7 @@ def _tracker_config(args) -> TrackerConfig:
     if getattr(args, "no_conf", False):
         noise = replace(noise, use_confidence_noise=False, use_velocity_blend=False)
 
-    return TrackerConfig(shape_params=shape, noise_config=noise, **values)
+    return TrackerConfig(shape_params=shape, noise_config=noise, **_fields_in(TrackerConfig, values))
 
 
 def cmd_track(args) -> int:
@@ -160,7 +146,7 @@ def cmd_eval(args) -> int:
         frame: [(e.track_id, e.box) for e in entries if e.evaluable]
         for frame, entries in gt_rows.items()
     }
-    results = _result_map(args.res)
+    results = motio.read_results(args.res)
     report = metrics.evaluate(gt, results, iou_match_thresh=args.iou_thresh)
     print(report.to_text())
     if args.output:
@@ -168,19 +154,6 @@ def cmd_eval(args) -> int:
             fh.write(report.to_csv() + "\n")
         print(f"wrote report CSV to {args.output}")
     return 0
-
-
-def _result_map(path):
-    """Result files carry real track ids, so read them id-aware."""
-    from .geometry import BoundingBox
-
-    by_frame: dict[int, list] = {}
-    for _, record in motio.iter_records(path):
-        if record.bb_width <= 0 or record.bb_height <= 0:
-            continue
-        box = BoundingBox.from_tlwh(record.bb_left, record.bb_top, record.bb_width, record.bb_height)
-        by_frame.setdefault(record.frame, []).append((record.track_id, box))
-    return dict(sorted(by_frame.items()))
 
 
 def cmd_synth(args) -> int:
@@ -199,7 +172,7 @@ def cmd_ablate(args) -> int:
     seeds = list(range(args.seed, args.seed + args.num_seeds))
     base = _tracker_config(args)
     summaries = ablation.run_ablation(
-        scenarios, seeds, arms=ARM_MODES[args.mode], base_config=base
+        scenarios, seeds, arms=ablation.ARM_FAMILIES[args.mode], base_config=base
     )
     print(f"scenarios: {', '.join(scenarios)}; seeds: {seeds[0]}..{seeds[-1]}")
     print(ablation.format_table(summaries))

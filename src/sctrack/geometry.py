@@ -116,6 +116,23 @@ def xyah_to_corners(rows: np.ndarray) -> np.ndarray:
     return corners
 
 
+def _pairwise_overlap(corners_a, corners_b):
+    """Pairwise IoU of two non-empty corner arrays, plus the intermediates the
+    shape terms reuse: the broadcast corner views ``a`` ``(M, 1, 4)`` and
+    ``b`` ``(1, N, 4)``, the heights and the areas."""
+    a = np.asarray(corners_a, dtype=np.float64)[:, None, :]
+    b = np.asarray(corners_b, dtype=np.float64)[None, :, :]
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    h_a = a[..., 3] - a[..., 1]
+    h_b = b[..., 3] - b[..., 1]
+    area_a = (a[..., 2] - a[..., 0]) * h_a
+    area_b = (b[..., 2] - b[..., 0]) * h_b
+    # valid boxes have positive area, so the union is always positive
+    return inter / (area_a + area_b - inter), a, b, h_a, h_b, area_a, area_b
+
+
 def pairwise_iou(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two corner arrays, shape ``(M, N)``.
 
@@ -125,15 +142,7 @@ def pairwise_iou(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
     m, n = len(corners_a), len(corners_b)
     if m == 0 or n == 0:
         return np.zeros((m, n), dtype=np.float64)
-    a = np.asarray(corners_a, dtype=np.float64)[:, None, :]
-    b = np.asarray(corners_b, dtype=np.float64)[None, :, :]
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    # valid boxes have positive area, so the union is always positive
-    return inter / (area_a + area_b - inter)
+    return _pairwise_overlap(corners_a, corners_b)[0]
 
 
 def pairwise_shape_iou_distance(
@@ -150,16 +159,8 @@ def pairwise_shape_iou_distance(
     m, n = len(corners_a), len(corners_b)
     if m == 0 or n == 0:
         return np.zeros((m, n), dtype=np.float64)
-    a = np.asarray(corners_a, dtype=np.float64)[:, None, :]
-    b = np.asarray(corners_b, dtype=np.float64)[None, :, :]
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    h_a = a[..., 3] - a[..., 1]
-    h_b = b[..., 3] - b[..., 1]
-    area_a = (a[..., 2] - a[..., 0]) * h_a
-    area_b = (b[..., 2] - b[..., 0]) * h_b
-    dist = 1.0 - inter / (area_a + area_b - inter)
+    overlap, a, b, h_a, h_b, area_a, area_b = _pairwise_overlap(corners_a, corners_b)
+    dist = 1.0 - overlap
     eps = params.epsilon
     if params.use_height_term or params.use_area_term:
         enclosing_h = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])

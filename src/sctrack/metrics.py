@@ -16,6 +16,7 @@ box pairs: ``IDF1 = 2 * IDTP / (2 * IDTP + IDFP + IDFN)``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,11 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
     fp = fn = idsw = tp = 0
     active_pairs: dict[int, int] = {}
     last_matched: dict[int, int] = {}
+    # identity counts for IDF1: frames per id, and frames per (gt id, hyp id)
+    # pair whose IoU reaches the threshold
+    gt_len: Counter = Counter()
+    hyp_len: Counter = Counter()
+    overlap: Counter = Counter()
 
     for frame in sorted(set(gt) | set(results)):
         gt_rows = gt.get(frame, [])
@@ -134,6 +140,11 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
             boxes_to_corners([b for _, b in gt_rows]),
             boxes_to_corners([b for _, b in hyp_rows]),
         )
+        hits = iou_matrix >= iou_match_thresh
+        gt_len.update(gt_ids)
+        hyp_len.update(hyp_ids)
+        rows, cols = np.nonzero(hits)
+        overlap.update((gt_ids[i], hyp_ids[j]) for i, j in zip(rows.tolist(), cols.tolist()))
 
         gt_index = {g: i for i, g in enumerate(gt_ids)}
         hyp_index = {h: j for j, h in enumerate(hyp_ids)}
@@ -142,7 +153,7 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
         kept: list[tuple[int, int]] = []
         for g, h in active_pairs.items():
             i, j = gt_index.get(g), hyp_index.get(h)
-            if i is not None and j is not None and iou_matrix[i, j] >= iou_match_thresh:
+            if i is not None and j is not None and hits[i, j]:
                 kept.append((g, h))
         kept_gt = {g for g, _ in kept}
         kept_hyp = {h for _, h in kept}
@@ -165,52 +176,30 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
         active_pairs = dict(pairs)
 
     mota = 1.0 - (fn + fp + idsw) / gt_count
-    idf1 = _identity_f1(gt, results, iou_match_thresh)
+    idf1 = _identity_f1(gt_len, hyp_len, overlap)
     return MetricsReport(
         mota=mota, idf1=idf1, idsw=idsw, fp=fp, fn=fn, gt_count=gt_count, matches=tp
     )
 
 
-def _identity_f1(gt, results, iou_match_thresh: float) -> float:
-    """Global id-to-id matching score over frame-wise overlaps."""
-    gt_len: dict[int, int] = {}
-    hyp_len: dict[int, int] = {}
-    overlap: dict[tuple[int, int], int] = {}
-
-    for frame in sorted(set(gt) | set(results)):
-        gt_rows = gt.get(frame, [])
-        hyp_rows = results.get(frame, [])
-        for g, _ in gt_rows:
-            gt_len[g] = gt_len.get(g, 0) + 1
-        for h, _ in hyp_rows:
-            hyp_len[h] = hyp_len.get(h, 0) + 1
-        if not gt_rows or not hyp_rows:
-            continue
-        iou_matrix = pairwise_iou(
-            boxes_to_corners([b for _, b in gt_rows]),
-            boxes_to_corners([b for _, b in hyp_rows]),
-        )
-        for i, (g, _) in enumerate(gt_rows):
-            for j, (h, _) in enumerate(hyp_rows):
-                if iou_matrix[i, j] >= iou_match_thresh:
-                    overlap[(g, h)] = overlap.get((g, h), 0) + 1
-
-    gt_ids = sorted(gt_len)
-    hyp_ids = sorted(hyp_len)
-    total = sum(gt_len.values()) + sum(hyp_len.values())
-    if not hyp_ids:
+def _identity_f1(gt_len: Counter, hyp_len: Counter, overlap: Counter) -> float:
+    """Global id-to-id matching score from per-id and per-pair frame counts."""
+    if not hyp_len:
         return 0.0
+    total = sum(gt_len.values()) + sum(hyp_len.values())
+    len_g = np.array(list(gt_len.values()), dtype=np.float64)
+    len_h = np.array(list(hyp_len.values()), dtype=np.float64)
+    n_g, n_h = len(len_g), len(len_h)
+    row = {g: i for i, g in enumerate(gt_len)}
+    col = {h: j for j, h in enumerate(hyp_len)}
+    shared = np.zeros((n_g, n_h))
+    shared[[row[g] for g, _ in overlap], [col[h] for _, h in overlap]] = list(overlap.values())
 
-    n_g, n_h = len(gt_ids), len(hyp_ids)
-    big = float(total) * 10.0 + 10.0
-    costs = np.full((n_g + n_h, n_h + n_g), big)
-    for i, g in enumerate(gt_ids):
-        for j, h in enumerate(hyp_ids):
-            # frames where the pair disagrees: id-level FN plus FP
-            costs[i, j] = gt_len[g] + hyp_len[h] - 2 * overlap.get((g, h), 0)
-        costs[i, n_h + i] = gt_len[g]
-    for j, h in enumerate(hyp_ids):
-        costs[n_g + j, j] = hyp_len[h]
+    costs = np.full((n_g + n_h, n_h + n_g), float(total) * 10.0 + 10.0)
+    # frames where a pair disagrees: id-level FN plus FP
+    costs[:n_g, :n_h] = len_g[:, None] + len_h[None, :] - 2.0 * shared
+    np.fill_diagonal(costs[:n_g, n_h:], len_g)
+    np.fill_diagonal(costs[n_g:, :n_h], len_h)
     costs[n_g:, n_h:] = 0.0
 
     rows, cols = linear_sum_assignment(costs)

@@ -14,11 +14,12 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterable, NamedTuple
 
-from .geometry import BoundingBox, Detection
-from .tracker import FrameResult
+from .geometry import BoundingBox, Detection, ShapeIoUParams
+from .kalman import NoiseConfig
+from .tracker import FrameResult, TrackerConfig
 
 logger = logging.getLogger(__name__)
 
@@ -171,6 +172,24 @@ def read_ground_truth(path) -> dict[int, list[GroundTruthEntry]]:
     return dict(sorted(by_frame.items()))
 
 
+def read_results(path) -> dict[int, list[tuple[int, BoundingBox]]]:
+    """Read a tracker result file as frame -> ``(track id, box)`` pairs.
+
+    Rows with a non-positive width or height are skipped; a row with a
+    non-finite field raises ParseError.  Ids repeated within a frame are
+    kept, for the evaluator to reject.  Frames are returned in ascending order.
+    """
+    by_frame: dict[int, list[tuple[int, BoundingBox]]] = {}
+    for line_no, record in iter_records(path):
+        if not _finite_box_fields(record):
+            raise ParseError(path, line_no, "result row has a non-finite box or confidence field")
+        if record.bb_width <= 0 or record.bb_height <= 0:
+            continue
+        box = BoundingBox.from_tlwh(record.bb_left, record.bb_top, record.bb_width, record.bb_height)
+        by_frame.setdefault(record.frame, []).append((record.track_id, box))
+    return dict(sorted(by_frame.items()))
+
+
 def write_records(path, records: Iterable[MotRecord]) -> None:
     """Write records in the canonical line format, in the given order."""
     try:
@@ -217,22 +236,12 @@ def write_ground_truth(path, gt_by_frame) -> None:
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
+# every scalar field of the tracker configuration, typed by its default
 CONFIG_SCHEMA = {
-    "high_thresh": float,
-    "low_thresh": float,
-    "new_track_thresh": float,
-    "match_gate_stage1": float,
-    "match_gate_stage2": float,
-    "match_gate_unconfirmed": float,
-    "max_lost_frames": int,
-    "use_unconfirmed_stage": bool,
-    "epsilon": float,
-    "use_height_term": bool,
-    "use_area_term": bool,
-    "std_weight_position": float,
-    "std_weight_velocity": float,
-    "use_confidence_noise": bool,
-    "use_velocity_blend": bool,
+    f.name: type(f.default)
+    for cls in (TrackerConfig, ShapeIoUParams, NoiseConfig)
+    for f in fields(cls)
+    if not is_dataclass(f.default)
 }
 
 

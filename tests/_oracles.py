@@ -169,3 +169,32 @@ def clear_events_ref(gt, results, thresh=0.5):
             last[g] = h
         active = dict(pairs)
     return {"fp": fp, "fn": fn, "idsw": idsw, "matches": tp, "gt_count": gt_count}
+
+
+def identity_f1_ref(gt, results, thresh=0.5):
+    """IDF1 by enumerating every one-to-one assignment of gt ids to hyp ids.
+
+    ``gt`` and ``results`` map frame -> list of ``(id, tlwh)``.  A matched
+    pair earns one identity true positive for each frame in which both ids
+    appear with IoU at least ``thresh``; the best assignment maximizes that
+    total.  Exponential in the id counts, so only for a handful of ids.
+    """
+    gt_ids = sorted({g for rows in gt.values() for g, _ in rows})
+    hyp_ids = sorted({h for rows in results.values() for h, _ in rows})
+
+    def shared_frames(g, h):
+        count = 0
+        for frame, rows in gt.items():
+            gt_box = dict(rows).get(g)
+            hyp_box = dict(results.get(frame, [])).get(h)
+            if gt_box is not None and hyp_box is not None and box_iou_ref(gt_box, hyp_box) >= thresh:
+                count += 1
+        return count
+
+    best = 0
+    for k in range(min(len(gt_ids), len(hyp_ids)) + 1):
+        for gt_subset in itertools.combinations(gt_ids, k):
+            for hyp_perm in itertools.permutations(hyp_ids, k):
+                best = max(best, sum(shared_frames(g, h) for g, h in zip(gt_subset, hyp_perm)))
+    total = sum(len(rows) for rows in gt.values()) + sum(len(rows) for rows in results.values())
+    return 2 * best / total

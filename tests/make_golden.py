@@ -50,13 +50,20 @@ def criterion10_stream() -> dict:
     return stream
 
 
-def golden_runs():
-    """Yield ``(label, detections by frame, tracker config)`` for every pinned run."""
+def scenario_runs():
+    """Yield ``(label, ground truth, detections by frame, tracker config)`` for
+    every builtin scenario, seed and component arm."""
     for spec in builtin_scenarios():
         for seed in SEEDS:
-            _, detections = generate(builtin_scenario(spec.name, seed=seed))
+            gt, detections = generate(builtin_scenario(spec.name, seed=seed))
             for arm in COMPONENT_ARMS:
-                yield f"{spec.name}/seed={seed}/{arm.label}", detections, arm_config(TrackerConfig(), arm)
+                yield f"{spec.name}/seed={seed}/{arm.label}", gt, detections, arm_config(TrackerConfig(), arm)
+
+
+def golden_runs():
+    """Yield ``(label, detections by frame, tracker config)`` for every pinned run."""
+    for label, _, detections, config in scenario_runs():
+        yield label, detections, config
     yield "criterion10", criterion10_stream(), TrackerConfig()
 
 

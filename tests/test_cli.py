@@ -2,10 +2,13 @@ import os
 
 import pytest
 
-from sctrack.cli import main
+from sctrack.cli import _tracker_config, build_parser, main
+from sctrack.geometry import ShapeIoUParams
+from sctrack.kalman import NoiseConfig
 from sctrack.metrics import MetricsReport
-from sctrack.motio import read_detections, read_ground_truth
+from sctrack.motio import read_detections, read_ground_truth, read_results
 from sctrack.synth import builtin_scenario, save_scenario
+from sctrack.tracker import TrackerConfig
 
 
 @pytest.fixture
@@ -54,9 +57,7 @@ class TestTrack:
                 f: [(e.track_id, e.box) for e in rows if e.evaluable]
                 for f, rows in gt_rows.items()
             }
-            from sctrack.cli import _result_map
-
-            return evaluate(gt, _result_map(out))
+            return evaluate(gt, read_results(out))
 
         # same detections, different switch counts: the shape and confidence
         # mechanisms change the association outcome
@@ -95,6 +96,27 @@ class TestTrack:
         assert main(["track", "--detections", scenario_dir["det"], "--output", str(out_plain)]) == 0
         assert out_env.read_text() != out_plain.read_text()
 
+
+    def test_config_file_sets_every_key(self, tmp_path):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(
+            "high_thresh = 0.65\nlow_thresh = 0.2\nnew_track_thresh = 0.75\n"
+            "match_gate_stage1 = 0.8\nmatch_gate_stage2 = 0.4\nmatch_gate_unconfirmed = 0.6\n"
+            "max_lost_frames = 12\nuse_unconfirmed_stage = false\nepsilon = 1e-6\n"
+            "use_height_term = false\nuse_area_term = true\nstd_weight_position = 0.1\n"
+            "std_weight_velocity = 0.02\nuse_confidence_noise = false\nuse_velocity_blend = true\n"
+        )
+        args = build_parser().parse_args(["track", "--detections", "d", "--output", "o", "--config", str(cfg)])
+        assert _tracker_config(args) == TrackerConfig(
+            high_thresh=0.65, low_thresh=0.2, new_track_thresh=0.75,
+            match_gate_stage1=0.8, match_gate_stage2=0.4, match_gate_unconfirmed=0.6,
+            max_lost_frames=12, use_unconfirmed_stage=False,
+            shape_params=ShapeIoUParams(epsilon=1e-6, use_height_term=False, use_area_term=True),
+            noise_config=NoiseConfig(
+                std_weight_position=0.1, std_weight_velocity=0.02,
+                use_confidence_noise=False, use_velocity_blend=True,
+            ),
+        )
 
 class TestEval:
     def test_gt_vs_itself_is_perfect(self, tmp_path, scenario_dir, capsys):
@@ -145,6 +167,16 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "frame 1 repeats id 7" in captured.err
+
+    @pytest.mark.parametrize("bad", ["gt", "res"])
+    def test_non_finite_row_names_file_and_line(self, tmp_path, capsys, bad):
+        paths = {name: tmp_path / f"{name}_nan.txt" for name in ("gt", "res")}
+        for name, path in paths.items():
+            path.write_text(f"1,1,{'nan' if name == bad else '0'},0,50,100,1,-1,-1,-1\n")
+        assert main(["eval", "--gt", str(paths["gt"]), "--res", str(paths["res"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"{bad}_nan.txt:1:" in captured.err
 
 
 class TestSynth:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sctrack.geometry import BoundingBox
 from sctrack.metrics import MetricsReport, evaluate
 
-from _oracles import clear_events_ref
+from _oracles import clear_events_ref, identity_f1_ref
 
 
 def box(x, y, w=50.0, h=100.0):
@@ -158,6 +160,28 @@ class TestInvariants:
             assert report.idsw == ref["idsw"]
             assert report.matches == ref["matches"]
             assert report.gt_count == ref["gt_count"]
+
+
+# integer corners on a coarse grid: overlaps are common, IoU is exact in both
+# the library and the oracle, and some pairs sit exactly on a threshold
+grid_boxes = st.builds(
+    BoundingBox.from_tlwh,
+    st.sampled_from([0.0, 10.0, 20.0, 30.0]),
+    st.sampled_from([0.0, 10.0]),
+    st.sampled_from([10.0, 20.0]),
+    st.sampled_from([10.0, 20.0]),
+)
+id_frames = st.lists(st.dictionaries(st.integers(1, 4), grid_boxes, max_size=4), min_size=1, max_size=4)
+
+
+@given(id_frames, id_frames, st.sampled_from([0.3, 0.5, 0.7]))
+def test_idf1_matches_exhaustive_id_assignment(gt_frames, hyp_frames, thresh):
+    gt = {f: list(rows.items()) for f, rows in enumerate(gt_frames, start=1) if rows}
+    results = {f: list(rows.items()) for f, rows in enumerate(hyp_frames, start=1) if rows}
+    if not gt:
+        gt = {1: [(1, box(0, 0))]}
+    report = evaluate(gt, results, iou_match_thresh=thresh)
+    assert report.idf1 == identity_f1_ref(*as_tlwh_maps(gt, results), thresh=thresh)
 
 
 def random_scenario(rng, objects=5, frames=20, id_flip_prob=0.1, drop_prob=0.15, fp_rate=0.5):

@@ -11,6 +11,7 @@ from sctrack.motio import (
     load_config,
     read_detections,
     read_ground_truth,
+    read_results,
     scan_detections,
     write_detections,
     write_ground_truth,
@@ -155,6 +156,28 @@ class TestGroundTruthReading:
         rows = read_ground_truth(path)[1]
         assert [e.evaluable for e in rows] == [True, False]
 
+
+class TestResultReading:
+    def test_keeps_ids_and_skips_empty_boxes(self, tmp_path):
+        path = tmp_path / "res.txt"
+        write_lines(
+            path,
+            [
+                "2,7,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1",
+                "1,7,10.00,20.00,0.00,40.00,0.9000,-1,-1,-1",
+                "1,3,50.00,20.00,30.00,40.00,0.5000,-1,-1,-1",
+            ],
+        )
+        assert read_results(path) == {
+            1: [(3, BoundingBox.from_tlwh(50, 20, 30, 40))],
+            2: [(7, BoundingBox.from_tlwh(10, 20, 30, 40))],
+        }
+
+    def test_non_finite_row_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "res.txt"
+        write_lines(path, ["1,1,0,0,50,100,1,-1,-1,-1", "1,2,0,inf,50,100,1,-1,-1,-1"])
+        with pytest.raises(ParseError, match=r"res\.txt:2:"):
+            read_results(path)
 
 class TestWriting:
     def make_results(self):
