@@ -9,7 +9,7 @@ configuration alone.  Two arm families are provided: the component arms
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import metrics, synth, tracker
 from .metrics import MetricsReport
@@ -18,27 +18,30 @@ from .tracker import TrackerConfig
 
 @dataclass(frozen=True)
 class AblationArm:
-    """One tracker configuration variant in a comparison table."""
+    """One tracker configuration variant in a comparison table.
+
+    ``use_confidence`` switches the confidence-scaled measurement noise and
+    the velocity blend together.
+    """
 
     label: str
     use_height_term: bool
     use_area_term: bool
-    use_confidence_noise: bool
-    use_velocity_blend: bool
+    use_confidence: bool
 
 
 COMPONENT_ARMS = (
-    AblationArm("baseline", False, False, False, False),
-    AblationArm("shape", True, True, False, False),
-    AblationArm("conf", False, False, True, True),
-    AblationArm("shape+conf", True, True, True, True),
+    AblationArm("baseline", False, False, False),
+    AblationArm("shape", True, True, False),
+    AblationArm("conf", False, False, True),
+    AblationArm("shape+conf", True, True, True),
 )
 
 SHAPE_TERM_ARMS = (
-    AblationArm("none", False, False, False, False),
-    AblationArm("height", True, False, False, False),
-    AblationArm("area", False, True, False, False),
-    AblationArm("height+area", True, True, False, False),
+    AblationArm("none", False, False, False),
+    AblationArm("height", True, False, False),
+    AblationArm("area", False, True, False),
+    AblationArm("height+area", True, True, False),
 )
 
 ARM_FAMILIES = {"components": COMPONENT_ARMS, "shape-terms": SHAPE_TERM_ARMS}
@@ -46,18 +49,11 @@ ARM_FAMILIES = {"components": COMPONENT_ARMS, "shape-terms": SHAPE_TERM_ARMS}
 
 def arm_config(base: TrackerConfig, arm: AblationArm) -> TrackerConfig:
     """Apply an arm's switches to a base tracker configuration."""
-    return replace(
-        base,
-        shape_params=replace(
-            base.shape_params,
-            use_height_term=arm.use_height_term,
-            use_area_term=arm.use_area_term,
-        ),
-        noise_config=replace(
-            base.noise_config,
-            use_confidence_noise=arm.use_confidence_noise,
-            use_velocity_blend=arm.use_velocity_blend,
-        ),
+    return base.with_values(
+        use_height_term=arm.use_height_term,
+        use_area_term=arm.use_area_term,
+        use_confidence_noise=arm.use_confidence,
+        use_velocity_blend=arm.use_confidence,
     )
 
 

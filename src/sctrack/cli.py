@@ -8,15 +8,13 @@ command-line flags.
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 import time
-from dataclasses import fields, replace
 
 from . import ablation, metrics, motio, synth
-from .geometry import ShapeIoUParams
-from .kalman import NoiseConfig
-from .tracker import SCTracker, TrackerConfig
+from .tracker import CONFIG_SCHEMA, SCTracker, TrackerConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,6 +29,11 @@ def build_parser() -> argparse.ArgumentParser:
     track.add_argument("--detections", required=True, help="MOTChallenge det file")
     track.add_argument("--output", required=True, help="result file to write")
     _add_config_flags(track)
+    track.add_argument("--no-shape", action="store_true", help="disable both shape constraint terms")
+    track.add_argument(
+        "--no-conf", action="store_true",
+        help="disable confidence-weighted noise and velocity blending",
+    )
 
     evaluate = sub.add_parser("eval", help="score a result file against ground truth")
     evaluate.add_argument("--gt", required=True, help="MOTChallenge gt file")
@@ -73,45 +76,57 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gate-unconfirmed", type=float, dest="match_gate_unconfirmed")
     parser.add_argument("--max-lost", type=int, dest="max_lost_frames")
     parser.add_argument("--epsilon", type=float, dest="epsilon")
-    parser.add_argument(
-        "--no-shape", action="store_true",
-        help="disable both shape constraint terms",
-    )
-    parser.add_argument("--no-shape-height", action="store_true", help="disable the height term")
-    parser.add_argument("--no-shape-area", action="store_true", help="disable the area term")
-    parser.add_argument(
-        "--no-conf", action="store_true",
-        help="disable confidence-weighted noise and velocity blending",
-    )
 
 
-def _fields_in(cls, values: dict) -> dict:
-    """The entries of ``values`` that name a field of dataclass ``cls``."""
-    return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+_BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def load_config(path) -> dict:
+    """Parse a ``key = value`` config file against :data:`CONFIG_SCHEMA`.
+
+    Blank lines and ``#`` comments are ignored.  Unknown or repeated keys
+    and values that do not parse under the schema raise ParseError.
+    """
+    values: dict = {}
+    try:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise motio.ParseError(path, line_no, f"expected 'key = value', got {line!r}")
+                key, _, value = line.partition("=")
+                key, value = key.strip(), value.strip()
+                if key not in CONFIG_SCHEMA:
+                    raise motio.ParseError(path, line_no, f"unknown config key {key!r}")
+                if key in values:
+                    raise motio.ParseError(path, line_no, f"config key {key!r} is set twice")
+                kind = CONFIG_SCHEMA[key]
+                try:
+                    if kind is bool:
+                        values[key] = _BOOL_VALUES[value.lower()]
+                    else:
+                        values[key] = kind(value)
+                except (KeyError, ValueError):
+                    raise motio.ParseError(path, line_no, f"bad value {value!r} for {key!r}") from None
+    except OSError as exc:
+        raise motio.ParseError(path, 0, f"cannot read file: {exc}") from exc
+    return values
 
 
 def _tracker_config(args) -> TrackerConfig:
-    values: dict = {}
-    config_path = getattr(args, "config", None) or motio.default_config_path()
-    if config_path:
-        values.update(motio.load_config(config_path))
-    for key in motio.CONFIG_SCHEMA:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-
-    shape = ShapeIoUParams(**_fields_in(ShapeIoUParams, values))
-    noise = NoiseConfig(**_fields_in(NoiseConfig, values))
+    """Defaults, then the config file, then value flags, then ``track``'s switches."""
+    path = args.config or os.environ.get("SCTRACK_CONFIG", "").strip()
+    values = load_config(path) if path else {}
+    for key in CONFIG_SCHEMA:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     if getattr(args, "no_shape", False):
-        shape = replace(shape, use_height_term=False, use_area_term=False)
-    if getattr(args, "no_shape_height", False):
-        shape = replace(shape, use_height_term=False)
-    if getattr(args, "no_shape_area", False):
-        shape = replace(shape, use_area_term=False)
+        values.update(use_height_term=False, use_area_term=False)
     if getattr(args, "no_conf", False):
-        noise = replace(noise, use_confidence_noise=False, use_velocity_blend=False)
-
-    return TrackerConfig(shape_params=shape, noise_config=noise, **_fields_in(TrackerConfig, values))
+        values.update(use_confidence_noise=False, use_velocity_blend=False)
+    return TrackerConfig().with_values(**values)
 
 
 def cmd_track(args) -> int:

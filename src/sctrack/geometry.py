@@ -94,9 +94,6 @@ class ShapeIoUParams:
             raise ValueError(f"epsilon must be a positive finite value, got {self.epsilon}")
 
 
-PLAIN_IOU_PARAMS = ShapeIoUParams(use_height_term=False, use_area_term=False)
-
-
 def boxes_to_corners(boxes) -> np.ndarray:
     """Stack boxes into an ``(N, 4)`` float64 corner array."""
     if not boxes:

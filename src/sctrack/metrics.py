@@ -108,14 +108,16 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
             tuple elements are ignored, so ground-truth file entries can be
             passed after filtering to the evaluable rows).
         results: map frame -> iterable of ``(id, BoundingBox)``.
-        iou_match_thresh: minimum IoU for a gt/hypothesis correspondence.
+        iou_match_thresh: minimum IoU for a gt/hypothesis correspondence, in (0, 1].
 
     Raises:
-        ValueError: if the ground truth contains no boxes (the accuracy
-            denominator would be undefined), or if either input repeats an
-            id within a frame (the correspondence would be ambiguous); the
-            message names the frame and the id.
+        ValueError: if ``iou_match_thresh`` is NaN or outside (0, 1], if the
+            ground truth contains no boxes (the accuracy denominator would be
+            undefined), or if either input repeats an id within a frame (the
+            correspondence would be ambiguous; the message names both).
     """
+    if not 0.0 < iou_match_thresh <= 1.0:
+        raise ValueError(f"iou_match_thresh must lie in (0, 1], got {iou_match_thresh}")
     gt = {frame: _normalize(rows, "ground truth", frame) for frame, rows in gt.items() if rows}
     results = {frame: _normalize(rows, "results", frame) for frame, rows in results.items() if rows}
     gt_count = sum(len(rows) for rows in gt.values())

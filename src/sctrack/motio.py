@@ -1,4 +1,4 @@
-"""MOTChallenge-format file I/O and key-value config loading.
+"""MOTChallenge-format file I/O.
 
 Wire format: 10 comma-separated fields per line,
 ``frame,id,bb_left,bb_top,bb_width,bb_height,conf,x,y,z``.
@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .geometry import BoundingBox, Detection, ShapeIoUParams
-from .kalman import NoiseConfig
-from .tracker import FrameResult, TrackerConfig
+from .geometry import BoundingBox, Detection
+from .tracker import FrameResult
 
 logger = logging.getLogger(__name__)
 
@@ -176,15 +174,20 @@ def read_results(path) -> dict[int, list[tuple[int, BoundingBox]]]:
     """Read a tracker result file as frame -> ``(track id, box)`` pairs.
 
     Rows with a non-positive width or height are skipped; a row with a
-    non-finite field raises ParseError.  Ids repeated within a frame are
-    kept, for the evaluator to reject.  Frames are returned in ascending order.
+    non-finite field, or one that repeats an id within its frame, raises
+    ParseError.  Frames are returned in ascending order.
     """
     by_frame: dict[int, list[tuple[int, BoundingBox]]] = {}
+    seen: set[tuple[int, int]] = set()
     for line_no, record in iter_records(path):
         if not _finite_box_fields(record):
             raise ParseError(path, line_no, "result row has a non-finite box or confidence field")
         if record.bb_width <= 0 or record.bb_height <= 0:
             continue
+        key = (record.frame, record.track_id)
+        if key in seen:
+            raise ParseError(path, line_no, f"frame {record.frame} repeats id {record.track_id}")
+        seen.add(key)
         box = BoundingBox.from_tlwh(record.bb_left, record.bb_top, record.bb_width, record.bb_height)
         by_frame.setdefault(record.frame, []).append((record.track_id, box))
     return dict(sorted(by_frame.items()))
@@ -230,57 +233,3 @@ def write_ground_truth(path, gt_by_frame) -> None:
             x, y, w, h = box.to_tlwh()
             records.append(MotRecord(frame, int(track_id), x, y, w, h, 1.0))
     write_records(path, records)
-
-
-# --- config files -----------------------------------------------------------
-
-_BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-# every scalar field of the tracker configuration, typed by its default
-CONFIG_SCHEMA = {
-    f.name: type(f.default)
-    for cls in (TrackerConfig, ShapeIoUParams, NoiseConfig)
-    for f in fields(cls)
-    if not is_dataclass(f.default)
-}
-
-
-def load_config(path) -> dict:
-    """Parse a ``key = value`` config file against the documented schema.
-
-    Blank lines and ``#`` comments are ignored.  Unknown keys and values
-    that do not parse under the schema raise ParseError.
-    """
-    values: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ParseError(path, line_no, f"expected 'key = value', got {line!r}")
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key not in CONFIG_SCHEMA:
-                    raise ParseError(path, line_no, f"unknown config key {key!r}")
-                kind = CONFIG_SCHEMA[key]
-                try:
-                    if kind is bool:
-                        values[key] = _BOOL_VALUES[value.lower()]
-                    else:
-                        values[key] = kind(value)
-                except (KeyError, ValueError):
-                    raise ParseError(path, line_no, f"bad value {value!r} for {key!r}") from None
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot read file: {exc}") from exc
-    return values
-
-
-DEFAULT_CONFIG_ENV = "SCTRACK_CONFIG"
-
-
-def default_config_path() -> str | None:
-    """Config path from the environment, if set and non-empty."""
-    path = os.environ.get(DEFAULT_CONFIG_ENV, "").strip()
-    return path or None

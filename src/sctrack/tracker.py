@@ -25,7 +25,7 @@ A tracker instance must be stepped sequentially; independent instances
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -87,6 +87,32 @@ class TrackerConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.max_lost_frames < 1:
             raise ValueError(f"max_lost_frames must be >= 1, got {self.max_lost_frames}")
+
+    def with_values(self, **values) -> TrackerConfig:
+        """A copy with each flat :data:`CONFIG_SCHEMA` key set on the dataclass
+        that declares it; a key outside the schema raises ValueError."""
+        for key in values:
+            if key not in CONFIG_SCHEMA:
+                raise ValueError(f"unknown config key {key!r}")
+
+        def own(obj) -> dict:
+            return {f.name: values[f.name] for f in fields(obj) if f.name in values}
+
+        return replace(
+            self,
+            shape_params=replace(self.shape_params, **own(self.shape_params)),
+            noise_config=replace(self.noise_config, **own(self.noise_config)),
+            **own(self),
+        )
+
+
+# every scalar field of the tracker configuration, typed by its default
+CONFIG_SCHEMA = {
+    f.name: type(f.default)
+    for cls in (TrackerConfig, ShapeIoUParams, NoiseConfig)
+    for f in fields(cls)
+    if not is_dataclass(f.default)
+}
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ from sctrack.ablation import (
     results_to_map,
     run_ablation,
 )
+from sctrack.geometry import ShapeIoUParams
+from sctrack.kalman import NoiseConfig
 from sctrack.synth import builtin_scenario, generate
 from sctrack.tracker import TrackerConfig, run_sequence
 
@@ -30,6 +32,34 @@ class TestArms:
         assert not cfg.noise_config.use_velocity_blend
         full = arm_config(base, COMPONENT_ARMS[3])
         assert full.shape_params.use_height_term and full.noise_config.use_velocity_blend
+
+    @pytest.mark.parametrize(
+        "family, label, height, area, conf",
+        [
+            ("components", "baseline", False, False, False),
+            ("components", "shape", True, True, False),
+            ("components", "conf", False, False, True),
+            ("components", "shape+conf", True, True, True),
+            ("shape-terms", "none", False, False, False),
+            ("shape-terms", "height", True, False, False),
+            ("shape-terms", "area", False, True, False),
+            ("shape-terms", "height+area", True, True, False),
+        ],
+    )
+    def test_arm_config_sets_only_the_switches(self, family, label, height, area, conf):
+        base = TrackerConfig(
+            high_thresh=0.7,
+            shape_params=ShapeIoUParams(epsilon=1e-6),
+            noise_config=NoiseConfig(std_weight_position=0.1),
+        )
+        (arm,) = [a for a in ARM_FAMILIES[family] if a.label == label]
+        assert arm_config(base, arm) == TrackerConfig(
+            high_thresh=0.7,
+            shape_params=ShapeIoUParams(epsilon=1e-6, use_height_term=height, use_area_term=area),
+            noise_config=NoiseConfig(
+                std_weight_position=0.1, use_confidence_noise=conf, use_velocity_blend=conf
+            ),
+        )
 
     def test_baseline_reduces_to_plain_iou_association(self):
         # the baseline arm's distance is exactly 1 - IoU and the update is a

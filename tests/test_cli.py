@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from sctrack.ablation import COMPONENT_ARMS, arm_config
 from sctrack.cli import _tracker_config, build_parser, main
 from sctrack.geometry import ShapeIoUParams
 from sctrack.kalman import NoiseConfig
@@ -118,6 +119,29 @@ class TestTrack:
             ),
         )
 
+    def test_switches_give_the_baseline_arm(self, monkeypatch):
+        monkeypatch.delenv("SCTRACK_CONFIG", raising=False)
+        args = build_parser().parse_args(
+            ["track", "--detections", "d", "--output", "o", "--no-shape", "--no-conf"]
+        )
+        assert _tracker_config(args) == arm_config(TrackerConfig(), COMPONENT_ARMS[0])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ablate", "--no-shape"],
+            ["ablate", "--no-conf"],
+            ["track", "--detections", "d", "--output", "o", "--no-shape-height"],
+            ["track", "--detections", "d", "--output", "o", "--no-shape-area"],
+        ],
+    )
+    def test_removed_switches_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestEval:
     def test_gt_vs_itself_is_perfect(self, tmp_path, scenario_dir, capsys):
         assert main(["eval", "--gt", scenario_dir["gt"], "--res", scenario_dir["gt"]]) == 0
@@ -167,6 +191,14 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "frame 1 repeats id 7" in captured.err
+
+    @pytest.mark.parametrize("thresh", ["nan", "-0.2", "0", "1.5"])
+    def test_out_of_range_iou_thresh_is_an_error(self, scenario_dir, capsys, thresh):
+        argv = ["eval", "--gt", scenario_dir["gt"], "--res", scenario_dir["gt"], "--iou-thresh", thresh]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"got {float(thresh)}" in captured.err
 
     @pytest.mark.parametrize("bad", ["gt", "res"])
     def test_non_finite_row_names_file_and_line(self, tmp_path, capsys, bad):

@@ -124,6 +124,18 @@ class TestDuplicateIds:
         assert evaluate(gt, gt).mota == 1.0
 
 
+class TestIouThreshold:
+    @pytest.mark.parametrize("thresh", [float("nan"), -0.2, 0.0, 1.5])
+    def test_out_of_range_threshold_is_named(self, thresh):
+        gt = single_object_gt(3)
+        with pytest.raises(ValueError, match=f"iou_match_thresh .*got {thresh}"):
+            evaluate(gt, gt, iou_match_thresh=thresh)
+
+    def test_threshold_one_is_allowed(self):
+        gt = single_object_gt(3)
+        assert evaluate(gt, gt, iou_match_thresh=1.0).mota == 1.0
+
+
 class TestInvariants:
     def test_mota_identity_recomputed(self):
         rng = np.random.default_rng(1)

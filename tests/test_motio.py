@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sctrack.cli import load_config
 from sctrack.geometry import BoundingBox, Detection
 from sctrack.motio import (
     GroundTruthEntry,
@@ -8,7 +9,6 @@ from sctrack.motio import (
     ParseError,
     format_record,
     iter_records,
-    load_config,
     read_detections,
     read_ground_truth,
     read_results,
@@ -173,6 +173,12 @@ class TestResultReading:
             2: [(7, BoundingBox.from_tlwh(10, 20, 30, 40))],
         }
 
+    def test_repeated_id_in_a_frame_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "res.txt"
+        write_lines(path, ["1,7,0,0,50,100,1,-1,-1,-1", "1,7,300,0,50,100,1,-1,-1,-1"])
+        with pytest.raises(ParseError, match=r"res\.txt:2: frame 1 repeats id 7"):
+            read_results(path)
+
     def test_non_finite_row_is_a_parse_error(self, tmp_path):
         path = tmp_path / "res.txt"
         write_lines(path, ["1,1,0,0,50,100,1,-1,-1,-1", "1,2,0,inf,50,100,1,-1,-1,-1"])
@@ -281,6 +287,12 @@ class TestConfigFiles:
         path = tmp_path / "conf.cfg"
         path.write_text("frobnicate = 1\n")
         with pytest.raises(ParseError, match="frobnicate"):
+            load_config(path)
+
+    def test_repeated_key_rejected_with_line(self, tmp_path):
+        path = tmp_path / "conf.cfg"
+        path.write_text("high_thresh = 0.7\nlow_thresh = 0.2\nhigh_thresh = 0.8\n")
+        with pytest.raises(ParseError, match=r"conf\.cfg:3: .*high_thresh"):
             load_config(path)
 
     def test_bad_value_rejected(self, tmp_path):

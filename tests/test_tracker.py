@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from sctrack.geometry import BoundingBox, Detection
+from sctrack.geometry import BoundingBox, Detection, ShapeIoUParams
+from sctrack.kalman import NoiseConfig
 from sctrack.tracker import (
+    CONFIG_SCHEMA,
     FrameResult,
     SCTracker,
     TrackerConfig,
@@ -302,3 +304,66 @@ class TestConfigValidation:
             TrackerConfig(match_gate_stage1=-0.1)
         with pytest.raises(ValueError):
             TrackerConfig(max_lost_frames=0)
+
+
+# schema key -> (the dataclass that declares it, a valid non-default value)
+NON_DEFAULT = {
+    "high_thresh": (TrackerConfig, 0.8),
+    "low_thresh": (TrackerConfig, 0.2),
+    "new_track_thresh": (TrackerConfig, 0.5),
+    "match_gate_stage1": (TrackerConfig, 0.3),
+    "match_gate_stage2": (TrackerConfig, 0.4),
+    "match_gate_unconfirmed": (TrackerConfig, 0.6),
+    "max_lost_frames": (TrackerConfig, 12),
+    "use_unconfirmed_stage": (TrackerConfig, False),
+    "epsilon": (ShapeIoUParams, 1e-5),
+    "use_height_term": (ShapeIoUParams, False),
+    "use_area_term": (ShapeIoUParams, False),
+    "std_weight_position": (NoiseConfig, 0.1),
+    "std_weight_velocity": (NoiseConfig, 0.02),
+    "use_confidence_noise": (NoiseConfig, False),
+    "use_velocity_blend": (NoiseConfig, False),
+}
+
+
+class TestWithValues:
+    def test_schema_keys_order_and_types(self):
+        assert list(CONFIG_SCHEMA.items()) == [
+            ("high_thresh", float), ("low_thresh", float), ("new_track_thresh", float),
+            ("match_gate_stage1", float), ("match_gate_stage2", float),
+            ("match_gate_unconfirmed", float), ("max_lost_frames", int),
+            ("use_unconfirmed_stage", bool), ("epsilon", float), ("use_height_term", bool),
+            ("use_area_term", bool), ("std_weight_position", float),
+            ("std_weight_velocity", float), ("use_confidence_noise", bool),
+            ("use_velocity_blend", bool),
+        ]
+
+    @pytest.mark.parametrize("key", list(CONFIG_SCHEMA))
+    def test_value_lands_in_declaring_object(self, key):
+        cls, value = NON_DEFAULT[key]
+        if cls is ShapeIoUParams:
+            expected = TrackerConfig(shape_params=ShapeIoUParams(**{key: value}))
+        elif cls is NoiseConfig:
+            expected = TrackerConfig(noise_config=NoiseConfig(**{key: value}))
+        else:
+            expected = TrackerConfig(**{key: value})
+        assert expected != TrackerConfig()
+        assert TrackerConfig().with_values(**{key: value}) == expected
+
+    def test_unknown_key_is_named(self):
+        with pytest.raises(ValueError, match="frobnicate"):
+            TrackerConfig().with_values(high_thresh=0.7, frobnicate=1)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"low_thresh": 0.6}, "low_thresh"),
+            ({"low_thresh": 0.7, "high_thresh": 0.7}, "low_thresh"),
+            ({"epsilon": 0.0}, "epsilon"),
+            ({"std_weight_velocity": 0.0}, "noise weights"),
+            ({"max_lost_frames": 0}, "max_lost_frames"),
+        ],
+    )
+    def test_validation_still_applies(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            TrackerConfig().with_values(**values)
