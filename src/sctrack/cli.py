@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and occlusion_lowconf)",
     )
     ablate.add_argument("--seed", type=int, default=1, help="first seed (default 1)")
-    ablate.add_argument("--num-seeds", type=int, default=10, help="number of seeds (default 10)")
+    ablate.add_argument("--num-seeds", type=_positive_int, default=10, help="number of seeds (default 10)")
     ablate.add_argument(
         "--mode", choices=sorted(ablation.ARM_FAMILIES), default="components",
         help="arm family to compare (default %(default)s)",
@@ -64,6 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(ablate)
 
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -37,7 +37,10 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.a, self.h)):
+        if not (
+            math.isfinite(self.x) and math.isfinite(self.y)
+            and math.isfinite(self.a) and math.isfinite(self.h)
+        ):
             raise ValueError(f"box fields must be finite, got {self!r}")
         if self.a <= 0 or self.h <= 0:
             raise ValueError(f"box requires a > 0 and h > 0, got a={self.a}, h={self.h}")

@@ -12,9 +12,12 @@ re-parse to the same values and re-serialize byte-identically.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import islice, repeat
+from operator import truediv
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .geometry import BoundingBox, Detection
 from .tracker import FrameResult
@@ -22,6 +25,9 @@ from .tracker import FrameResult
 logger = logging.getLogger(__name__)
 
 FIELD_COUNT = 10
+
+# lines parsed per chunk: bounds the text, field strings and rows held at once
+CHUNK_LINES = 4096
 
 
 class ParseError(ValueError):
@@ -70,22 +76,106 @@ def format_record(record: MotRecord) -> str:
     )
 
 
-def _parse_line(path, line_no: int, line: str) -> MotRecord:
-    fields = line.split(",")
-    if len(fields) != FIELD_COUNT:
-        raise ParseError(path, line_no, f"expected {FIELD_COUNT} comma-separated fields, got {len(fields)}")
+def _first(mask) -> int:
+    """Index of the first true entry of a boolean mask, or its length."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
+def _parse_rows(path, line_nos, lines: list[str]):
+    """Parse stripped non-blank lines into an ``(n, 10)`` float64 block.
+
+    Returns the block of the rows before the first malformed line and the
+    ParseError for that line, or None when every line parses.
+    """
+    counts = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
+    n = _first(counts != FIELD_COUNT - 1)
+    error = None
+    if n < len(lines):
+        error = ParseError(path, int(line_nos[n]), f"expected {FIELD_COUNT} comma-separated fields, got {counts[n] + 1}")
     try:
-        values = [float(f) for f in fields]
+        block = _float_block(lines[:n])
     except ValueError:
-        raise ParseError(path, line_no, f"non-numeric field in row: {line!r}") from None
+        n = next(i for i, line in enumerate(lines) if not _numeric(line))
+        error = ParseError(path, int(line_nos[n]), f"non-numeric field in row: {lines[n]!r}")
+        block = _float_block(lines[:n])
+    keys = block[:, :2]
+    integral = (np.isfinite(keys) & (np.floor(keys) == keys)).all(axis=1)
+    if not integral.all():
+        n = _first(~integral)
+        fields = lines[n].split(",")
+        error = ParseError(
+            path, int(line_nos[n]), f"frame and id must be integral, got {fields[0]!r}, {fields[1]!r}"
+        )
+        block = block[:n]
+    return block, error
+
+
+def _float_block(lines: list[str]) -> np.ndarray:
+    """One ``float`` pass over the joined fields of lines that hold ten each."""
+    if not lines:
+        return np.zeros((0, FIELD_COUNT))
+    fields = ",".join(lines).split(",")
+    return np.fromiter(map(float, fields), np.float64, len(fields)).reshape(-1, FIELD_COUNT)
+
+
+def _numeric(line: str) -> bool:
     try:
-        frame = int(values[0])
-        track_id = int(values[1])
-    except (ValueError, OverflowError):
-        raise ParseError(path, line_no, f"frame and id must be integral, got {fields[0]!r}, {fields[1]!r}") from None
-    if frame != values[0] or track_id != values[1]:
-        raise ParseError(path, line_no, f"frame and id must be integral, got {fields[0]!r}, {fields[1]!r}")
-    return MotRecord(frame, track_id, *values[2:])
+        for field in line.split(","):
+            float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_rows(path):
+    """Yield ``(line_nos, block)`` for the non-blank lines of a file, in chunks.
+
+    ``block`` is an ``(n, 10)`` float64 array whose frame and id columns are
+    finite and integral; ``line_nos`` holds the 1-based line number of each
+    row.  At the first malformed line the rows before it are yielded and then
+    ParseError is raised (never a bare decode/conversion error), so arbitrary
+    bytes are tolerated up to that point.  At most :data:`CHUNK_LINES` lines
+    are held at once.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            read = 0
+            while chunk := list(islice(fh, CHUNK_LINES)):
+                stripped = list(map(str.strip, chunk))
+                line_nos = np.flatnonzero(np.fromiter(map(bool, stripped), bool, len(stripped))) + read + 1
+                read += len(chunk)
+                block, error = _parse_rows(path, line_nos, list(filter(None, stripped)))
+                if len(block):
+                    yield line_nos[: len(block)], block
+                if error is not None:
+                    raise error
+    except OSError as exc:
+        raise ParseError(path, 0, f"cannot read file: {exc}") from exc
+
+
+def _ints(column: np.ndarray) -> list[int]:
+    return list(map(int, column.tolist()))
+
+
+def _boxes(block: np.ndarray) -> Iterator[BoundingBox]:
+    """Boxes from the tlwh columns in row order, as :meth:`BoundingBox.from_tlwh` builds them."""
+    x, y, w, h = block[:, 2:6].T.tolist()
+    return map(BoundingBox, x, y, map(truediv, w, h), h)
+
+
+def _finite(block: np.ndarray) -> np.ndarray:
+    """Rows whose box and confidence fields are finite."""
+    return np.isfinite(block[:, 2:7]).all(axis=1)
+
+
+def _usable(block: np.ndarray) -> np.ndarray:
+    """Rows whose box and confidence fields are finite and whose box has positive size."""
+    return _finite(block) & (block[:, 4] > 0) & (block[:, 5] > 0)
+
+
+def _repeats(keys, seen: set) -> np.ndarray:
+    """Mask of keys already in ``seen`` or earlier in ``keys``; adds them to ``seen``."""
+    return np.fromiter((key in seen or seen.add(key) for key in keys), bool, len(keys))
 
 
 def iter_records(path):
@@ -95,22 +185,9 @@ def iter_records(path):
     rows; arbitrary bytes in the file are tolerated up to the point where a
     row fails to parse.
     """
-    try:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                yield line_no, _parse_line(path, line_no, line)
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot read file: {exc}") from exc
-
-
-def _finite_box_fields(record: MotRecord) -> bool:
-    return all(
-        math.isfinite(v)
-        for v in (record.bb_left, record.bb_top, record.bb_width, record.bb_height, record.conf)
-    )
+    for line_nos, block in _read_rows(path):
+        for line_no, row in zip(line_nos.tolist(), block.tolist()):
+            yield line_no, MotRecord(int(row[0]), int(row[1]), *row[2:])
 
 
 def scan_detections(path) -> tuple[dict[int, list[Detection]], ParseStats]:
@@ -122,16 +199,16 @@ def scan_detections(path) -> tuple[dict[int, list[Detection]], ParseStats]:
     """
     by_frame: dict[int, list[Detection]] = {}
     stats = ParseStats()
-    for line_no, record in iter_records(path):
-        if not _finite_box_fields(record) or record.bb_width <= 0 or record.bb_height <= 0 or record.frame < 1:
-            stats.rejected_rows += 1
-            continue
-        conf = record.conf
-        if conf < 0.0 or conf > 1.0:
-            conf = min(max(conf, 0.0), 1.0)
-            stats.clamped_scores += 1
-        box = BoundingBox.from_tlwh(record.bb_left, record.bb_top, record.bb_width, record.bb_height)
-        by_frame.setdefault(record.frame, []).append(Detection(box=box, score=conf))
+    for _, block in _read_rows(path):
+        keep = _usable(block) & (block[:, 0] >= 1)
+        block = block[keep]
+        stats.rejected_rows += len(keep) - len(block)
+        conf = block[:, 6]
+        low, high = conf < 0.0, conf > 1.0
+        stats.clamped_scores += int(np.count_nonzero(low | high))
+        conf = np.where(low, 0.0, np.where(high, 1.0, conf))
+        for frame, box, score in zip(_ints(block[:, 0]), _boxes(block), conf.tolist()):
+            by_frame.setdefault(frame, []).append(Detection(box=box, score=score))
     if stats.rejected_rows or stats.clamped_scores:
         logger.warning(
             "%s: rejected %d row(s), clamped %d confidence value(s)",
@@ -154,19 +231,24 @@ def read_ground_truth(path) -> dict[int, list[GroundTruthEntry]]:
     """
     by_frame: dict[int, list[GroundTruthEntry]] = {}
     seen: set[tuple[int, int]] = set()
-    for line_no, record in iter_records(path):
-        if record.track_id < 1:
-            raise ParseError(path, line_no, f"ground-truth id must be >= 1, got {record.track_id}")
-        key = (record.frame, record.track_id)
-        if key in seen:
-            raise ParseError(path, line_no, f"duplicate (frame, id) pair {key}")
-        seen.add(key)
-        if not _finite_box_fields(record) or record.bb_width <= 0 or record.bb_height <= 0 or record.frame < 1:
-            raise ParseError(path, line_no, "ground-truth row has invalid frame or box geometry")
-        box = BoundingBox.from_tlwh(record.bb_left, record.bb_top, record.bb_width, record.bb_height)
-        by_frame.setdefault(record.frame, []).append(
-            GroundTruthEntry(track_id=record.track_id, box=box, evaluable=record.conf != 0)
-        )
+    for line_nos, block in _read_rows(path):
+        frames, ids = _ints(block[:, 0]), _ints(block[:, 1])
+        bad_id = block[:, 1] < 1
+        repeated = _repeats(list(zip(frames, ids)), seen)
+        bad_geometry = ~(_usable(block) & (block[:, 0] >= 1))
+        n = _first(bad_id | repeated | bad_geometry)
+        rows = zip(frames[:n], ids[:n], _boxes(block[:n]), (block[:n, 6] != 0).tolist())
+        for frame, track_id, box, evaluable in rows:
+            by_frame.setdefault(frame, []).append(GroundTruthEntry(track_id, box, evaluable))
+        if n == len(block):
+            continue
+        if bad_id[n]:
+            message = f"ground-truth id must be >= 1, got {ids[n]}"
+        elif repeated[n]:
+            message = f"duplicate (frame, id) pair {(frames[n], ids[n])}"
+        else:
+            message = "ground-truth row has invalid frame or box geometry"
+        raise ParseError(path, int(line_nos[n]), message)
     return dict(sorted(by_frame.items()))
 
 
@@ -179,17 +261,23 @@ def read_results(path) -> dict[int, list[tuple[int, BoundingBox]]]:
     """
     by_frame: dict[int, list[tuple[int, BoundingBox]]] = {}
     seen: set[tuple[int, int]] = set()
-    for line_no, record in iter_records(path):
-        if not _finite_box_fields(record):
-            raise ParseError(path, line_no, "result row has a non-finite box or confidence field")
-        if record.bb_width <= 0 or record.bb_height <= 0:
+    for line_nos, block in _read_rows(path):
+        finite = _finite(block)
+        kept = np.flatnonzero(_usable(block))
+        frames, ids = _ints(block[kept, 0]), _ints(block[kept, 1])
+        repeated = np.zeros(len(block), bool)
+        repeated[kept] = _repeats(list(zip(frames, ids)), seen)
+        n = _first(~finite | repeated)
+        k = int(np.searchsorted(kept, n))
+        for frame, track_id, box in zip(frames[:k], ids[:k], _boxes(block[kept[:k]])):
+            by_frame.setdefault(frame, []).append((track_id, box))
+        if n == len(block):
             continue
-        key = (record.frame, record.track_id)
-        if key in seen:
-            raise ParseError(path, line_no, f"frame {record.frame} repeats id {record.track_id}")
-        seen.add(key)
-        box = BoundingBox.from_tlwh(record.bb_left, record.bb_top, record.bb_width, record.bb_height)
-        by_frame.setdefault(record.frame, []).append((record.track_id, box))
+        if not finite[n]:
+            message = "result row has a non-finite box or confidence field"
+        else:
+            message = f"frame {frames[k]} repeats id {ids[k]}"
+        raise ParseError(path, int(line_nos[n]), message)
     return dict(sorted(by_frame.items()))
 
 
@@ -197,8 +285,7 @@ def write_records(path, records: Iterable[MotRecord]) -> None:
     """Write records in the canonical line format, in the given order."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(format_record(record) + "\n")
+            fh.write("".join(format_record(record) + "\n" for record in records))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

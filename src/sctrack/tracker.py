@@ -90,10 +90,16 @@ class TrackerConfig:
 
     def with_values(self, **values) -> TrackerConfig:
         """A copy with each flat :data:`CONFIG_SCHEMA` key set on the dataclass
-        that declares it; a key outside the schema raises ValueError."""
-        for key in values:
+        that declares it.  A key outside the schema, or a value not of the
+        key's type, raises ValueError; an int is accepted for a float key,
+        and a bool counts only as a bool."""
+        for key, value in values.items():
             if key not in CONFIG_SCHEMA:
                 raise ValueError(f"unknown config key {key!r}")
+            kind = CONFIG_SCHEMA[key]
+            accepted = (int, float) if kind is float else kind
+            if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+                raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
 
         def own(obj) -> dict:
             return {f.name: values[f.name] for f in fields(obj) if f.name in values}

@@ -2,14 +2,19 @@
 
 Everything here is deliberately written against the definitions, not against
 the library code: scalar arithmetic instead of vectorized numpy, exhaustive
-search instead of the Hungarian method, and a plain per-frame event counter
-for the tracking metrics.  Slow but obviously correct.
+search instead of the Hungarian method, a plain per-frame event counter
+for the tracking metrics and line-at-a-time MOT file readers.  Slow but
+obviously correct.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
+
+from sctrack.geometry import BoundingBox, Detection
+from sctrack.motio import FIELD_COUNT, GroundTruthEntry, MotRecord, ParseError, ParseStats
 
 
 # --- box overlap, scalar arithmetic ------------------------------------------
@@ -198,3 +203,100 @@ def identity_f1_ref(gt, results, thresh=0.5):
                 best = max(best, sum(shared_frames(g, h) for g, h in zip(gt_subset, hyp_perm)))
     total = sum(len(rows) for rows in gt.values()) + sum(len(rows) for rows in results.values())
     return 2 * best / total
+
+
+# --- MOT file readers, one line at a time -------------------------------------
+#
+# The per-line readers the chunked ones in ``sctrack.motio`` replaced: each
+# row is parsed, checked and converted on its own, and the first failing row
+# raises.  They build the library's record and entry types so outputs compare
+# with ``==``.
+
+def _parse_line_ref(path, line_no, line):
+    fields = line.split(",")
+    if len(fields) != FIELD_COUNT:
+        raise ParseError(path, line_no, f"expected {FIELD_COUNT} comma-separated fields, got {len(fields)}")
+    try:
+        values = [float(f) for f in fields]
+    except ValueError:
+        raise ParseError(path, line_no, f"non-numeric field in row: {line!r}") from None
+    try:
+        frame = int(values[0])
+        track_id = int(values[1])
+    except (ValueError, OverflowError):
+        raise ParseError(path, line_no, f"frame and id must be integral, got {fields[0]!r}, {fields[1]!r}") from None
+    if frame != values[0] or track_id != values[1]:
+        raise ParseError(path, line_no, f"frame and id must be integral, got {fields[0]!r}, {fields[1]!r}")
+    return MotRecord(frame, track_id, *values[2:])
+
+
+def iter_records_ref(path):
+    try:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                yield line_no, _parse_line_ref(path, line_no, line)
+    except OSError as exc:
+        raise ParseError(path, 0, f"cannot read file: {exc}") from exc
+
+
+def _finite_box_fields_ref(record):
+    return all(
+        math.isfinite(v)
+        for v in (record.bb_left, record.bb_top, record.bb_width, record.bb_height, record.conf)
+    )
+
+
+def _box_ref(record):
+    return BoundingBox.from_tlwh(record.bb_left, record.bb_top, record.bb_width, record.bb_height)
+
+
+def scan_detections_ref(path):
+    by_frame = {}
+    stats = ParseStats()
+    for _, record in iter_records_ref(path):
+        if not _finite_box_fields_ref(record) or record.bb_width <= 0 or record.bb_height <= 0 or record.frame < 1:
+            stats.rejected_rows += 1
+            continue
+        conf = record.conf
+        if conf < 0.0 or conf > 1.0:
+            conf = min(max(conf, 0.0), 1.0)
+            stats.clamped_scores += 1
+        by_frame.setdefault(record.frame, []).append(Detection(box=_box_ref(record), score=conf))
+    return dict(sorted(by_frame.items())), stats
+
+
+def read_ground_truth_ref(path):
+    by_frame = {}
+    seen = set()
+    for line_no, record in iter_records_ref(path):
+        if record.track_id < 1:
+            raise ParseError(path, line_no, f"ground-truth id must be >= 1, got {record.track_id}")
+        key = (record.frame, record.track_id)
+        if key in seen:
+            raise ParseError(path, line_no, f"duplicate (frame, id) pair {key}")
+        seen.add(key)
+        if not _finite_box_fields_ref(record) or record.bb_width <= 0 or record.bb_height <= 0 or record.frame < 1:
+            raise ParseError(path, line_no, "ground-truth row has invalid frame or box geometry")
+        by_frame.setdefault(record.frame, []).append(
+            GroundTruthEntry(track_id=record.track_id, box=_box_ref(record), evaluable=record.conf != 0)
+        )
+    return dict(sorted(by_frame.items()))
+
+
+def read_results_ref(path):
+    by_frame = {}
+    seen = set()
+    for line_no, record in iter_records_ref(path):
+        if not _finite_box_fields_ref(record):
+            raise ParseError(path, line_no, "result row has a non-finite box or confidence field")
+        if record.bb_width <= 0 or record.bb_height <= 0:
+            continue
+        key = (record.frame, record.track_id)
+        if key in seen:
+            raise ParseError(path, line_no, f"frame {record.frame} repeats id {record.track_id}")
+        seen.add(key)
+        by_frame.setdefault(record.frame, []).append((record.track_id, _box_ref(record)))
+    return dict(sorted(by_frame.items()))

@@ -266,6 +266,13 @@ class TestAblate:
             assert "100.0" in line
             assert line.rstrip().endswith("0")
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_non_positive_seed_count_is_a_usage_error(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--scenario", "straight_clean", "--num-seeds", count])
+        assert exc.value.code == 2
+        assert "--num-seeds" in capsys.readouterr().err
+
     def test_directional_on_contrast_scenarios(self, capsys):
         assert (
             main(

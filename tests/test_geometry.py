@@ -50,6 +50,20 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(float("nan"), 0, 1, 1)
 
+    @pytest.mark.parametrize("field", ["x", "y", "a", "h"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_each_non_finite_field_is_named(self, field, value):
+        fields = {"x": 1.0, "y": 2.0, "a": 0.5, "h": 3.0, field: value}
+        with pytest.raises(ValueError, match=r"box fields must be finite, got BoundingBox\(") as exc:
+            BoundingBox(**fields)
+        assert f"{field}={value!r}" in str(exc.value)
+
+    @pytest.mark.parametrize("a,h", [(0.0, 3.0), (-0.5, 3.0), (0.5, 0.0), (0.5, -3.0), (-0.0, 3.0)])
+    def test_non_positive_size_message(self, a, h):
+        with pytest.raises(ValueError) as exc:
+            BoundingBox(1.0, 2.0, a, h)
+        assert str(exc.value) == f"box requires a > 0 and h > 0, got a={a}, h={h}"
+
     def test_detection_score_range(self):
         box = BoundingBox.from_tlwh(0, 0, 5, 5)
         Detection(box, 0.0)

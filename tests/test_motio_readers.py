@@ -1,0 +1,169 @@
+"""The chunked MOT readers against the line-at-a-time readers they replaced.
+
+Generated files mix valid rows with every irregularity the readers check:
+blank lines, CRLF and CR endings, wrong field counts, non-numeric fields,
+non-finite values in any column, non-integral or huge frame/id values,
+non-positive sizes, repeated (frame, id) pairs and out-of-range confidences.
+Each file is read with a chunk size drawn from a few small values and the
+default, so rows, checks and errors that straddle chunk boundaries are
+compared too.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from sctrack import motio
+from sctrack.motio import FIELD_COUNT, ParseError
+
+from _oracles import iter_records_ref, read_ground_truth_ref, read_results_ref, scan_detections_ref
+
+# replacement texts per column: non-integral, huge, non-finite, non-numeric,
+# non-positive, out-of-range and extreme values
+FAULTS = [
+    ["1.5", "-0.5", "1e20", "-1e20", "-0", "0", "-1", " 2 ", "2.0", "nan", "inf"],  # frame
+    ["1.5", "-0.5", "1e20", "-1e20", "-0", "0", "-1", " 2 ", "2.0", "nan", "inf"],  # id
+    ["nan", "inf", "-inf", "1e300", "-1e300", "abc"],  # bb_left
+    ["nan", "inf", "-inf", "1e300", "-1e300", ""],  # bb_top
+    ["0", "-0", "-5.00", "nan", "inf", "1e300", "1e-300", "1_0"],  # bb_width
+    ["0", "-0", "-5.00", "nan", "inf", "1e300", "1e-300", "1_0"],  # bb_height
+    ["-0.2", "1.5", "-0.0", "0", "nan", "inf", "-inf"],  # conf
+    ["nan", "inf", "0"],
+    ["nan", "inf", "0"],
+    ["nan", "inf", "x"],
+]
+
+# valid rows; small frame/id ranges make repeated pairs likely
+valid_fields = st.tuples(
+    st.integers(1, 3).map(str),
+    st.integers(1, 3).map(str),
+    st.floats(-50, 500).map("{:.2f}".format),
+    st.floats(-50, 500).map("{:.2f}".format),
+    st.floats(0.5, 300).map("{:.2f}".format),
+    st.floats(0.5, 300).map("{:.2f}".format),
+    st.one_of(st.floats(0, 1).map("{:.4f}".format), st.sampled_from(["-0.2", "1.5"])),
+    st.just("-1"), st.just("-1"), st.just("-1"),
+).map(list)
+
+
+@st.composite
+def faulty_rows(draw):
+    fields = draw(valid_fields)
+    for _ in range(draw(st.integers(1, 2))):
+        column = draw(st.integers(0, FIELD_COUNT - 1))
+        fields[column] = draw(st.sampled_from(FAULTS[column]))
+    shape = draw(st.sampled_from(["ok"] * 12 + ["short", "long", "extreme"]))
+    if shape == "short":
+        fields = fields[: draw(st.integers(1, FIELD_COUNT - 1))]
+    elif shape == "long":
+        fields.append("-1")
+    elif shape == "extreme":  # finite positive sizes whose aspect over- or underflows
+        fields[4:6] = draw(st.permutations(["1e-300", draw(st.sampled_from(["1e300", "1e20"]))]))
+    return draw(st.sampled_from(["", " ", "\t"])) + ",".join(fields)
+
+
+lines = st.one_of(
+    valid_fields.map(",".join),
+    valid_fields.map(",".join),
+    faulty_rows(),
+    faulty_rows(),
+    st.sampled_from(["", "   ", "\t"]),
+)
+
+
+@st.composite
+def mot_files(draw):
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    body = ending.join(draw(st.lists(lines, max_size=14)))
+    if draw(st.booleans()):
+        body += ending
+    return body.encode("utf-8"), draw(st.sampled_from([1, 2, 3, 5, motio.CHUNK_LINES]))
+
+
+def outcome(read, path):
+    """A reader's output, or the type and text of the error it raised."""
+    try:
+        result = read(path)
+    except ValueError as exc:  # ParseError, or a box the row cannot form
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        by_frame, stats = result
+        return list(by_frame.items()), stats
+    return list(result.items())
+
+
+def records(iterate, path):
+    """The records before the first failure, plus that failure's text."""
+    rows = []
+    try:
+        for row in iterate(path):
+            rows.append(row)
+    except ParseError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+READERS = [
+    (motio.scan_detections, scan_detections_ref, outcome),
+    (motio.read_ground_truth, read_ground_truth_ref, outcome),
+    (motio.read_results, read_results_ref, outcome),
+    (motio.iter_records, iter_records_ref, records),
+]
+
+
+def assert_same(read, reference, collect, path):
+    # repr compares floats exactly, tells -0.0 from 0.0 and equates NaN with NaN
+    assert repr(collect(read, path)) == repr(collect(reference, path)), read.__name__
+
+
+ROW = "1,1,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1"
+
+# one file per check, so every check is exercised whatever the generator
+# draws; the offending row sits on lines 2 and 4, so a reader that reported
+# its last offending line instead of its first would differ
+CHECKED = [
+    "1,1,10.00,20.00,30.00",  # field count
+    "1,1,10.00,abc,30.00,40.00,0.9000,-1,-1,-1",  # non-numeric
+    "1.5,1,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1",  # non-integral frame
+    "1,nan,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1",  # NaN id
+    "inf,1,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1",  # infinite frame
+    "2,0,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1",  # ground-truth id
+    "1,1,50.00,20.00,30.00,40.00,0.9000,-1,-1,-1",  # repeated (frame, id)
+    "1,1,50.00,20.00,0.00,40.00,0.9000,-1,-1,-1",  # repeated, and zero width
+    "0,2,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1",  # frame < 1
+    "2,2,inf,20.00,30.00,40.00,0.9000,-1,-1,-1",  # non-finite box
+    "2,2,10.00,20.00,30.00,40.00,nan,-1,-1,-1",  # non-finite conf
+    "2,2,10.00,20.00,0.00,40.00,0.9000,-1,-1,-1",  # zero width
+    "2,2,10.00,20.00,30.00,-5.00,0.9000,-1,-1,-1",  # negative height
+    "2,2,10.00,20.00,-3.00,0.00,0.9000,-1,-1,-1",  # both sizes non-positive
+    "2,2,10.00,20.00,30.00,40.00,-0.2000,-1,-1,-1",  # conf below 0
+    "2,2,10.00,20.00,30.00,40.00,1.5000,-1,-1,-1",  # conf above 1
+    "2,2,10.00,20.00,1e-300,1e300,0.9000,-1,-1,-1",  # aspect underflows
+]
+
+
+def _check_examples(test):
+    for row in CHECKED:
+        for chunk in (1, motio.CHUNK_LINES):
+            body = "\n".join([ROW, row, "3,3,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1", row]) + "\n"
+            test = example(drawn=(body.encode(), chunk))(test)
+    return test
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=mot_files())
+@_check_examples
+def test_readers_match_line_readers(tmp_path, drawn):
+    body, chunk = drawn
+    path = tmp_path / "mot.txt"
+    path.write_bytes(body)
+    with mock.patch.object(motio, "CHUNK_LINES", chunk):
+        for read, reference, collect in READERS:
+            assert_same(read, reference, collect, path)
+
+
+@pytest.mark.parametrize("read,reference,collect", READERS)
+def test_missing_file_matches_line_reader(tmp_path, read, reference, collect):
+    assert_same(read, reference, collect, tmp_path / "absent.txt")

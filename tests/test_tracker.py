@@ -350,6 +350,17 @@ class TestWithValues:
         assert expected != TrackerConfig()
         assert TrackerConfig().with_values(**{key: value}) == expected
 
+    @pytest.mark.parametrize("key", list(CONFIG_SCHEMA))
+    def test_value_of_the_wrong_type_is_named(self, key):
+        kind = CONFIG_SCHEMA[key]
+        wrong = {bool: ["no", 1, 0.0, None], int: [True, 3.0, "3", None], float: [False, "0.5", None]}[kind]
+        for value in wrong:
+            with pytest.raises(ValueError, match=f"{key}.*{kind.__name__}"):
+                TrackerConfig().with_values(**{key: value})
+
+    def test_float_key_takes_an_int(self):
+        assert TrackerConfig().with_values(match_gate_stage1=1) == TrackerConfig(match_gate_stage1=1.0)
+
     def test_unknown_key_is_named(self):
         with pytest.raises(ValueError, match="frobnicate"):
             TrackerConfig().with_values(high_thresh=0.7, frobnicate=1)
