@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 from sctrack import TrackerConfig, builtin_scenario, evaluate, run_sequence
+from sctrack.ablation import results_to_map
 from sctrack.motio import read_detections, read_ground_truth, write_results
 from sctrack.synth import save_scenario
 
@@ -34,12 +35,7 @@ with tempfile.TemporaryDirectory() as tmp:
         frame: [(e.track_id, e.box) for e in rows if e.evaluable]
         for frame, rows in gt_rows.items()
     }
-    results = {
-        fr.frame_index: [(o.track_id, o.box) for o in fr.outputs]
-        for fr in frame_results
-        if fr.outputs
-    }
-    report = evaluate(gt, results)
+    report = evaluate(gt, results_to_map(frame_results))
     print()
     print(report.to_text())
     print()

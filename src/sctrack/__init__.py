@@ -9,6 +9,7 @@ deterministic synthetic-scenario generator and an ablation harness.
 """
 
 from .assignment import AssignmentResult, solve
+from .frames import FrameBoxes
 from .geometry import (
     BoundingBox,
     Detection,
@@ -36,6 +37,7 @@ __all__ = [
     "AssignmentResult",
     "BoundingBox",
     "Detection",
+    "FrameBoxes",
     "FrameResult",
     "InvalidStateError",
     "KalmanState",

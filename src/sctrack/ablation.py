@@ -58,12 +58,9 @@ def arm_config(base: TrackerConfig, arm: AblationArm) -> TrackerConfig:
 
 
 def results_to_map(frame_results):
-    """Convert tracker frame results to the map shape the evaluator expects."""
-    out = {}
-    for fr in frame_results:
-        if fr.outputs:
-            out[fr.frame_index] = [(o.track_id, o.box) for o in fr.outputs]
-    return out
+    """Tracker frame results as the evaluator's frame -> ``FrameBoxes`` map,
+    leaving out frames without outputs."""
+    return {fr.frame_index: fr.boxes for fr in frame_results if len(fr.boxes.ids)}
 
 
 def evaluate_run(gt, detections, config: TrackerConfig) -> MetricsReport:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import statistics
 import sys
 import time
@@ -97,7 +98,13 @@ def load_config(path) -> dict:
     Blank lines and ``#`` comments are ignored.  Unknown or repeated keys
     and values that do not parse under the schema raise ParseError.
     """
+    return _read_config(path)[0]
+
+
+def _read_config(path) -> tuple[dict, dict]:
+    """:func:`load_config`'s values, plus the line number of each key."""
     values: dict = {}
+    lines: dict = {}
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
             for line_no, raw in enumerate(fh, start=1):
@@ -120,28 +127,42 @@ def load_config(path) -> dict:
                         values[key] = kind(value)
                 except (KeyError, ValueError):
                     raise motio.ParseError(path, line_no, f"bad value {value!r} for {key!r}") from None
+                lines[key] = line_no
     except OSError as exc:
         raise motio.ParseError(path, 0, f"cannot read file: {exc}") from exc
-    return values
+    return values, lines
 
 
 def _tracker_config(args) -> TrackerConfig:
-    """Defaults, then the config file, then value flags, then ``track``'s switches."""
+    """Defaults, then the config file, then value flags, then ``track``'s switches.
+
+    The final values are validated together, so a flag can repair a file
+    value.  When they are rejected and the message names a key that the
+    file set and no flag overrode, the error carries the path and the line
+    of the latest such key.
+    """
     path = args.config or os.environ.get("SCTRACK_CONFIG", "").strip()
-    values = load_config(path) if path else {}
-    for key in CONFIG_SCHEMA:
-        if getattr(args, key, None) is not None:
-            values[key] = getattr(args, key)
+    values, lines = _read_config(path) if path else ({}, {})
+    flags = {key: getattr(args, key) for key in CONFIG_SCHEMA if getattr(args, key, None) is not None}
     if getattr(args, "no_shape", False):
-        values.update(use_height_term=False, use_area_term=False)
+        flags.update(use_height_term=False, use_area_term=False)
     if getattr(args, "no_conf", False):
-        values.update(use_confidence_noise=False, use_velocity_blend=False)
-    return TrackerConfig().with_values(**values)
+        flags.update(use_confidence_noise=False, use_velocity_blend=False)
+    try:
+        return TrackerConfig().with_values(**{**values, **flags})
+    except ValueError as exc:
+        named = [
+            lines[key] for key in values
+            if key not in flags and re.search(rf"\b{key}\b", str(exc))
+        ]
+        if not named:
+            raise
+        raise motio.ParseError(path, max(named), str(exc)) from None
 
 
 def cmd_track(args) -> int:
     config = _tracker_config(args)
-    detections = motio.read_detections(args.detections)
+    detections = motio.scan_detection_blocks(args.detections)[0]
     if not detections:
         results = []
         frame_ms: list[float] = []
@@ -155,7 +176,7 @@ def cmd_track(args) -> int:
             results.append(tracker.step(frame, detections.get(frame, [])))
             frame_ms.append((time.perf_counter() - start) * 1000.0)
     motio.write_results(args.output, results)
-    boxes = sum(len(r.outputs) for r in results)
+    boxes = sum(len(r.boxes.ids) for r in results)
     print(f"tracked {len(results)} frame(s), wrote {boxes} box(es) to {args.output}")
     if frame_ms:
         print(
@@ -166,12 +187,11 @@ def cmd_track(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    gt_rows = motio.read_ground_truth(args.gt)
     gt = {
-        frame: [(e.track_id, e.box) for e in entries if e.evaluable]
-        for frame, entries in gt_rows.items()
+        frame: boxes.select(boxes.scores != 0)
+        for frame, boxes in motio.read_ground_truth_blocks(args.gt).items()
     }
-    results = motio.read_results(args.res)
+    results = motio.read_result_blocks(args.res)
     report = metrics.evaluate(gt, results, iou_match_thresh=args.iou_thresh)
     print(report.to_text())
     if args.output:
@@ -210,7 +230,7 @@ def main(argv=None) -> int:
     handlers = {"track": cmd_track, "eval": cmd_eval, "synth": cmd_synth, "ablate": cmd_ablate}
     try:
         return handlers[args.command](args)
-    except (motio.ParseError, OSError, ValueError) as exc:
+    except (motio.ParseError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,14 +16,14 @@ box pairs: ``IDF1 = 2 * IDTP / (2 * IDTP + IDFP + IDFN)``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import assignment
-from .geometry import BoundingBox, boxes_to_corners, pairwise_iou
+from .frames import frame_boxes, repeated, split
+from .geometry import pairwise_iou, xyah_to_corners
 
 DEFAULT_IOU_MATCH_THRESH = 0.5
 
@@ -89,25 +89,43 @@ class MetricsReport:
         )
 
 
-def _normalize(frame_entries, source: str, frame) -> list[tuple[int, BoundingBox]]:
-    """``(id, box)`` pairs of one frame; an id may appear at most once."""
-    out = [(int(entry[0]), entry[1]) for entry in frame_entries]
-    seen: set[int] = set()
-    for track_id, _ in out:
-        if track_id in seen:
-            raise ValueError(f"{source} frame {frame} repeats id {track_id}")
-        seen.add(track_id)
-    return out
+def _frames(by_frame, source: str):
+    """``(frame -> (offset, ids, corners), all ids)`` over the frames that hold
+    boxes; a frame's rows start at ``offset`` in the array of all ids.
+
+    Every frame is converted once; one vectorised test finds the first
+    frame, in the map's order, that repeats an id.
+    """
+    frames, blocks = [], []
+    for frame, rows in by_frame.items():
+        block = frame_boxes(rows)
+        if len(block.ids):
+            frames.append(frame)
+            blocks.append(block)
+    if not blocks:
+        return {}, np.zeros(0, np.int64)
+    sizes = [len(block.ids) for block in blocks]
+    ids = np.concatenate([block.ids for block in blocks])
+    frame_no = np.repeat(np.arange(len(blocks)), sizes)
+    repeats = repeated(frame_no, ids)
+    if repeats.any():
+        n = int(repeats.argmax())
+        raise ValueError(f"{source} frame {frames[frame_no[n]]} repeats id {int(ids[n])}")
+    offsets = np.cumsum([0, *sizes[:-1]]).tolist()
+    id_lists = split(ids.tolist(), sizes)
+    corners = split(xyah_to_corners(np.concatenate([block.xyah for block in blocks])), sizes)
+    return dict(zip(frames, zip(offsets, id_lists, corners))), ids
 
 
 def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) -> MetricsReport:
     """Score tracking results against ground truth.
 
     Args:
-        gt: map frame -> iterable of ``(id, BoundingBox)`` (extra trailing
-            tuple elements are ignored, so ground-truth file entries can be
-            passed after filtering to the evaluable rows).
-        results: map frame -> iterable of ``(id, BoundingBox)``.
+        gt: map frame -> :class:`~sctrack.frames.FrameBoxes`, or iterable of
+            ``(id, BoundingBox)`` (extra trailing tuple elements are ignored,
+            so ground-truth file entries can be passed after filtering to the
+            evaluable rows).
+        results: map frame -> ``FrameBoxes`` or iterable of ``(id, BoundingBox)``.
         iou_match_thresh: minimum IoU for a gt/hypothesis correspondence, in (0, 1].
 
     Raises:
@@ -118,35 +136,30 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
     """
     if not 0.0 < iou_match_thresh <= 1.0:
         raise ValueError(f"iou_match_thresh must lie in (0, 1], got {iou_match_thresh}")
-    gt = {frame: _normalize(rows, "ground truth", frame) for frame, rows in gt.items() if rows}
-    results = {frame: _normalize(rows, "results", frame) for frame, rows in results.items() if rows}
-    gt_count = sum(len(rows) for rows in gt.values())
+    gt, all_gt = _frames(gt, "ground truth")
+    results, all_hyp = _frames(results, "results")
+    gt_count = len(all_gt)
     if gt_count == 0:
         raise ValueError("ground truth is empty; tracking accuracy is undefined")
 
     fp = fn = idsw = tp = 0
     active_pairs: dict[int, int] = {}
     last_matched: dict[int, int] = {}
-    # identity counts for IDF1: frames per id, and frames per (gt id, hyp id)
-    # pair whose IoU reaches the threshold
-    gt_len: Counter = Counter()
-    hyp_len: Counter = Counter()
-    overlap: Counter = Counter()
+    # every box pair whose IoU reaches the threshold, as row and column
+    # positions per frame plus the frame's offsets into the arrays of all
+    # ids, for IDF1
+    hit_rows, hit_cols, hit_offsets = [], [], []
+    none = (0, [], np.zeros((0, 4)))
 
     for frame in sorted(set(gt) | set(results)):
-        gt_rows = gt.get(frame, [])
-        hyp_rows = results.get(frame, [])
-        gt_ids = [g for g, _ in gt_rows]
-        hyp_ids = [h for h, _ in hyp_rows]
-        iou_matrix = pairwise_iou(
-            boxes_to_corners([b for _, b in gt_rows]),
-            boxes_to_corners([b for _, b in hyp_rows]),
-        )
+        gt_offset, gt_ids, gt_corners = gt.get(frame, none)
+        hyp_offset, hyp_ids, hyp_corners = results.get(frame, none)
+        iou_matrix = pairwise_iou(gt_corners, hyp_corners)
         hits = iou_matrix >= iou_match_thresh
-        gt_len.update(gt_ids)
-        hyp_len.update(hyp_ids)
         rows, cols = np.nonzero(hits)
-        overlap.update((gt_ids[i], hyp_ids[j]) for i, j in zip(rows.tolist(), cols.tolist()))
+        hit_rows.append(rows)
+        hit_cols.append(cols)
+        hit_offsets.append((gt_offset, hyp_offset, len(rows)))
 
         gt_index = {g: i for i, g in enumerate(gt_ids)}
         hyp_index = {h: j for j, h in enumerate(hyp_ids)}
@@ -162,14 +175,14 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
 
         free_gt = [i for i, g in enumerate(gt_ids) if g not in kept_gt]
         free_hyp = [j for j, h in enumerate(hyp_ids) if h not in kept_hyp]
-        costs = 1.0 - iou_matrix[np.ix_(free_gt, free_hyp)]
+        costs = 1.0 - iou_matrix.take(free_gt, 0).take(free_hyp, 1)
         solved = assignment.solve(costs, gate=1.0 - iou_match_thresh)
         fresh = [(gt_ids[free_gt[r]], hyp_ids[free_hyp[c]]) for r, c in solved.matches]
 
         pairs = kept + fresh
         tp += len(pairs)
-        fp += len(hyp_rows) - len(pairs)
-        fn += len(gt_rows) - len(pairs)
+        fp += len(hyp_ids) - len(pairs)
+        fn += len(gt_ids) - len(pairs)
         for g, h in fresh:
             if g in last_matched and last_matched[g] != h:
                 idsw += 1
@@ -178,24 +191,27 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
         active_pairs = dict(pairs)
 
     mota = 1.0 - (fn + fp + idsw) / gt_count
-    idf1 = _identity_f1(gt_len, hyp_len, overlap)
+    gt_offsets, hyp_offsets, counts = np.array(hit_offsets).reshape(-1, 3).T
+    hit_gt = all_gt[np.concatenate(hit_rows) + np.repeat(gt_offsets, counts)]
+    hit_hyp = all_hyp[np.concatenate(hit_cols) + np.repeat(hyp_offsets, counts)]
+    idf1 = _identity_f1(all_gt, all_hyp, hit_gt, hit_hyp)
     return MetricsReport(
         mota=mota, idf1=idf1, idsw=idsw, fp=fp, fn=fn, gt_count=gt_count, matches=tp
     )
 
 
-def _identity_f1(gt_len: Counter, hyp_len: Counter, overlap: Counter) -> float:
-    """Global id-to-id matching score from per-id and per-pair frame counts."""
-    if not hyp_len:
+def _identity_f1(gt_ids, hyp_ids, hit_gt, hit_hyp) -> float:
+    """Global id-to-id matching score from every box's id and the id pair of
+    every box pair that overlaps enough."""
+    if not len(hyp_ids):
         return 0.0
-    total = sum(gt_len.values()) + sum(hyp_len.values())
-    len_g = np.array(list(gt_len.values()), dtype=np.float64)
-    len_h = np.array(list(hyp_len.values()), dtype=np.float64)
+    total = len(gt_ids) + len(hyp_ids)
+    g, len_g = np.unique(gt_ids, return_counts=True)
+    h, len_h = np.unique(hyp_ids, return_counts=True)
+    len_g, len_h = len_g.astype(np.float64), len_h.astype(np.float64)
     n_g, n_h = len(len_g), len(len_h)
-    row = {g: i for i, g in enumerate(gt_len)}
-    col = {h: j for j, h in enumerate(hyp_len)}
     shared = np.zeros((n_g, n_h))
-    shared[[row[g] for g, _ in overlap], [col[h] for _, h in overlap]] = list(overlap.values())
+    np.add.at(shared, (np.searchsorted(g, hit_gt), np.searchsorted(h, hit_hyp)), 1.0)
 
     costs = np.full((n_g + n_h, n_h + n_g), float(total) * 10.0 + 10.0)
     # frames where a pair disagrees: id-level FN plus FP

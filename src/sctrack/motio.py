@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import truediv
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, islice, repeat
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .frames import FrameBoxes, detection_block, frame_boxes, repeated, split
 from .geometry import BoundingBox, Detection
 from .tracker import FrameResult
 
@@ -66,14 +66,15 @@ class GroundTruthEntry(NamedTuple):
     evaluable: bool
 
 
+# the canonical line: coordinates fixed-point with two decimals, confidence with four
+LINE_FORMAT = "%d,%d,%.2f,%.2f,%.2f,%.2f,%.4f,%.0f,%.0f,%.0f"
+# the same line with x, y, z at -1, as the box writers leave them
+BOX_LINE_FORMAT = LINE_FORMAT.replace(",%.0f,%.0f,%.0f", ",-1,-1,-1")
+
+
 def format_record(record: MotRecord) -> str:
     """One canonical CSV line (no newline) for a record."""
-    return (
-        f"{record.frame},{record.track_id},"
-        f"{record.bb_left:.2f},{record.bb_top:.2f},"
-        f"{record.bb_width:.2f},{record.bb_height:.2f},"
-        f"{record.conf:.4f},{record.x:.0f},{record.y:.0f},{record.z:.0f}"
-    )
+    return LINE_FORMAT % tuple(record)
 
 
 def _first(mask) -> int:
@@ -153,29 +154,19 @@ def _read_rows(path):
         raise ParseError(path, 0, f"cannot read file: {exc}") from exc
 
 
-def _ints(column: np.ndarray) -> list[int]:
-    return list(map(int, column.tolist()))
-
-
-def _boxes(block: np.ndarray) -> Iterator[BoundingBox]:
-    """Boxes from the tlwh columns in row order, as :meth:`BoundingBox.from_tlwh` builds them."""
-    x, y, w, h = block[:, 2:6].T.tolist()
-    return map(BoundingBox, x, y, map(truediv, w, h), h)
-
-
-def _finite(block: np.ndarray) -> np.ndarray:
-    """Rows whose box and confidence fields are finite."""
-    return np.isfinite(block[:, 2:7]).all(axis=1)
-
-
-def _usable(block: np.ndarray) -> np.ndarray:
-    """Rows whose box and confidence fields are finite and whose box has positive size."""
-    return _finite(block) & (block[:, 4] > 0) & (block[:, 5] > 0)
-
-
-def _repeats(keys, seen: set) -> np.ndarray:
-    """Mask of keys already in ``seen`` or earlier in ``keys``; adds them to ``seen``."""
-    return np.fromiter((key in seen or seen.add(key) for key in keys), bool, len(keys))
+def _read_block(path):
+    """Every row of a file as one ``(n, 10)`` block, its line numbers, and the
+    ParseError that ended the read early (None when the whole file parsed)."""
+    blocks, line_nos, error = [], [], None
+    try:
+        for nos, block in _read_rows(path):
+            line_nos.append(nos)
+            blocks.append(block)
+    except ParseError as exc:
+        error = exc
+    if not blocks:
+        return np.zeros((0, FIELD_COUNT)), np.zeros(0, np.intp), error
+    return np.concatenate(blocks), np.concatenate(line_nos), error
 
 
 def iter_records(path):
@@ -190,31 +181,90 @@ def iter_records(path):
             yield line_no, MotRecord(int(row[0]), int(row[1]), *row[2:])
 
 
-def scan_detections(path) -> tuple[dict[int, list[Detection]], ParseStats]:
-    """Read a detection file, returning per-frame detections plus counters.
+def _finite(block: np.ndarray) -> np.ndarray:
+    """Rows whose box and confidence fields are finite."""
+    return np.isfinite(block[:, 2:7]).all(axis=1)
 
-    Rows with non-positive box sizes or non-finite values are rejected and
-    counted; confidences outside [0, 1] are clamped and counted.  The id
-    column is ignored.  Frames are returned in ascending order.
+
+def _usable(block: np.ndarray) -> np.ndarray:
+    """Rows whose box and confidence fields are finite and whose box has positive size."""
+    return _finite(block) & (block[:, 4] > 0) & (block[:, 5] > 0)
+
+
+def _xyah(block: np.ndarray) -> np.ndarray:
+    """``(n, 4)`` rows ``[x, y, w / h, h]`` of the tlwh columns."""
+    with np.errstate(all="ignore"):  # rows that cannot form a box are masked by the caller
+        return np.column_stack((block[:, 2], block[:, 3], block[:, 4] / block[:, 5], block[:, 5]))
+
+
+def _unformed(xyah: np.ndarray) -> np.ndarray:
+    """Rows of finite positive size whose aspect ratio over- or underflows."""
+    aspect = xyah[:, 2]
+    return ~(np.isfinite(aspect) & (aspect > 0))
+
+
+def _raise_first(path, line_nos, checks, xyah, error) -> None:
+    """Raise for the first row, in file order, that fails a check, else ``error``.
+
+    ``checks`` is a list of ``(mask, message of row i)`` in precedence order;
+    its last mask marks rows whose box cannot form, and for those the
+    ValueError of building the :class:`BoundingBox` is raised, as the object
+    readers always have.
     """
-    by_frame: dict[int, list[Detection]] = {}
-    stats = ParseStats()
-    for _, block in _read_rows(path):
-        keep = _usable(block) & (block[:, 0] >= 1)
-        block = block[keep]
-        stats.rejected_rows += len(keep) - len(block)
-        conf = block[:, 6]
-        low, high = conf < 0.0, conf > 1.0
-        stats.clamped_scores += int(np.count_nonzero(low | high))
-        conf = np.where(low, 0.0, np.where(high, 1.0, conf))
-        for frame, box, score in zip(_ints(block[:, 0]), _boxes(block), conf.tolist()):
-            by_frame.setdefault(frame, []).append(Detection(box=box, score=score))
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        n = int(bad.argmax())
+        message = next(message for mask, message in checks if mask[n])
+        if message is None:
+            BoundingBox(*xyah[n].tolist())  # raises, naming the fields
+        raise ParseError(path, int(line_nos[n]), message(n))
+    if error is not None:
+        raise error
+
+
+def _by_frame(frames: np.ndarray, *columns) -> dict:
+    """frame -> tuple of the column slices of its rows, frames ascending and
+    rows in file order within a frame."""
+    order = np.argsort(frames, kind="stable")
+    keys, sizes = np.unique(frames[order], return_counts=True)
+    parts = [split(column[order], sizes) for column in columns]
+    return dict(zip(map(int, keys.tolist()), zip(*parts)))
+
+
+def scan_detection_blocks(path) -> tuple[dict[int, np.ndarray], ParseStats]:
+    """Read a detection file as frame -> ``(n, 5)`` block ``[x, y, a, h, score]``.
+
+    Rows with non-positive box sizes or non-finite values (or a frame below
+    1) are rejected and counted; confidences outside [0, 1] are clamped and
+    counted.  The id column is ignored.  Frames are returned in ascending
+    order, rows in file order.
+    """
+    block, line_nos, error = _read_block(path)
+    keep = _usable(block) & (block[:, 0] >= 1)
+    xyah = _xyah(block)
+    _raise_first(path, line_nos, [(keep & _unformed(xyah), None)], xyah, error)
+    conf = block[keep, 6]
+    low, high = conf < 0.0, conf > 1.0
+    stats = ParseStats(
+        rejected_rows=len(keep) - len(conf), clamped_scores=int(np.count_nonzero(low | high))
+    )
     if stats.rejected_rows or stats.clamped_scores:
         logger.warning(
             "%s: rejected %d row(s), clamped %d confidence value(s)",
             path, stats.rejected_rows, stats.clamped_scores,
         )
-    return dict(sorted(by_frame.items())), stats
+    conf = np.where(low, 0.0, np.where(high, 1.0, conf))
+    rows = np.column_stack((xyah[keep], conf))
+    return {frame: part for frame, (part,) in _by_frame(block[keep, 0], rows).items()}, stats
+
+
+def scan_detections(path) -> tuple[dict[int, list[Detection]], ParseStats]:
+    """:func:`scan_detection_blocks` with each row as a :class:`Detection`."""
+    blocks, stats = scan_detection_blocks(path)
+    return {
+        frame: [Detection(BoundingBox(x, y, a, h), score) for x, y, a, h, score in block.tolist()]
+        for frame, block in blocks.items()
+    }, stats
 
 
 def read_detections(path) -> dict[int, list[Detection]]:
@@ -222,101 +272,136 @@ def read_detections(path) -> dict[int, list[Detection]]:
     return scan_detections(path)[0]
 
 
-def read_ground_truth(path) -> dict[int, list[GroundTruthEntry]]:
-    """Read a ground-truth file; ids must be >= 1 and unique per frame.
+def read_ground_truth_blocks(path) -> dict[int, FrameBoxes]:
+    """Read a ground-truth file as frame -> :class:`FrameBoxes`.
 
-    The consider flag (the ``conf`` column in the shared layout) marks rows
-    that should not take part in evaluation; they are returned with
-    ``evaluable=False`` so the caller can exclude them.
+    Ids must be >= 1 and unique per frame.  ``scores`` holds the consider
+    flag (the ``conf`` column in the shared layout): 0 marks a row that
+    should not take part in evaluation.
     """
-    by_frame: dict[int, list[GroundTruthEntry]] = {}
-    seen: set[tuple[int, int]] = set()
-    for line_nos, block in _read_rows(path):
-        frames, ids = _ints(block[:, 0]), _ints(block[:, 1])
-        bad_id = block[:, 1] < 1
-        repeated = _repeats(list(zip(frames, ids)), seen)
-        bad_geometry = ~(_usable(block) & (block[:, 0] >= 1))
-        n = _first(bad_id | repeated | bad_geometry)
-        rows = zip(frames[:n], ids[:n], _boxes(block[:n]), (block[:n, 6] != 0).tolist())
-        for frame, track_id, box, evaluable in rows:
-            by_frame.setdefault(frame, []).append(GroundTruthEntry(track_id, box, evaluable))
-        if n == len(block):
-            continue
-        if bad_id[n]:
-            message = f"ground-truth id must be >= 1, got {ids[n]}"
-        elif repeated[n]:
-            message = f"duplicate (frame, id) pair {(frames[n], ids[n])}"
-        else:
-            message = "ground-truth row has invalid frame or box geometry"
-        raise ParseError(path, int(line_nos[n]), message)
-    return dict(sorted(by_frame.items()))
+    block, line_nos, error = _read_block(path)
+    frames, ids = block[:, 0], block[:, 1]
+    xyah = _xyah(block)
+    geometry_ok = _usable(block) & (frames >= 1)
+    _raise_first(
+        path,
+        line_nos,
+        [
+            (ids < 1, lambda n: f"ground-truth id must be >= 1, got {int(ids[n])}"),
+            (repeated(frames, ids), lambda n: f"duplicate (frame, id) pair {(int(frames[n]), int(ids[n]))}"),
+            (~geometry_ok, lambda n: "ground-truth row has invalid frame or box geometry"),
+            (_unformed(xyah), None),
+        ],
+        xyah,
+        error,
+    )
+    return {
+        frame: FrameBoxes(*parts)
+        for frame, parts in _by_frame(frames, ids, xyah, block[:, 6]).items()
+    }
 
 
-def read_results(path) -> dict[int, list[tuple[int, BoundingBox]]]:
-    """Read a tracker result file as frame -> ``(track id, box)`` pairs.
+def read_ground_truth(path) -> dict[int, list[GroundTruthEntry]]:
+    """:func:`read_ground_truth_blocks` with each row as a :class:`GroundTruthEntry`;
+    rows whose consider flag is 0 have ``evaluable=False``."""
+    return {
+        frame: list(map(GroundTruthEntry, _ids(boxes), _boxes(boxes), (boxes.scores != 0).tolist()))
+        for frame, boxes in read_ground_truth_blocks(path).items()
+    }
+
+
+def read_result_blocks(path) -> dict[int, FrameBoxes]:
+    """Read a tracker result file as frame -> :class:`FrameBoxes`.
 
     Rows with a non-positive width or height are skipped; a row with a
     non-finite field, or one that repeats an id within its frame, raises
     ParseError.  Frames are returned in ascending order.
     """
-    by_frame: dict[int, list[tuple[int, BoundingBox]]] = {}
-    seen: set[tuple[int, int]] = set()
-    for line_nos, block in _read_rows(path):
-        finite = _finite(block)
-        kept = np.flatnonzero(_usable(block))
-        frames, ids = _ints(block[kept, 0]), _ints(block[kept, 1])
-        repeated = np.zeros(len(block), bool)
-        repeated[kept] = _repeats(list(zip(frames, ids)), seen)
-        n = _first(~finite | repeated)
-        k = int(np.searchsorted(kept, n))
-        for frame, track_id, box in zip(frames[:k], ids[:k], _boxes(block[kept[:k]])):
-            by_frame.setdefault(frame, []).append((track_id, box))
-        if n == len(block):
-            continue
-        if not finite[n]:
-            message = "result row has a non-finite box or confidence field"
-        else:
-            message = f"frame {frames[k]} repeats id {ids[k]}"
-        raise ParseError(path, int(line_nos[n]), message)
-    return dict(sorted(by_frame.items()))
+    block, line_nos, error = _read_block(path)
+    frames, ids = block[:, 0], block[:, 1]
+    xyah = _xyah(block)
+    kept = _usable(block)
+    repeats = np.zeros(len(block), bool)
+    repeats[kept] = repeated(frames[kept], ids[kept])
+    _raise_first(
+        path,
+        line_nos,
+        [
+            (~_finite(block), lambda n: "result row has a non-finite box or confidence field"),
+            (repeats, lambda n: f"frame {int(frames[n])} repeats id {int(ids[n])}"),
+            (kept & _unformed(xyah), None),
+        ],
+        xyah,
+        error,
+    )
+    return {
+        frame: FrameBoxes(*parts)
+        for frame, parts in _by_frame(frames[kept], ids[kept], xyah[kept], block[kept, 6]).items()
+    }
 
 
-def write_records(path, records: Iterable[MotRecord]) -> None:
-    """Write records in the canonical line format, in the given order."""
+def read_results(path) -> dict[int, list[tuple[int, BoundingBox]]]:
+    """:func:`read_result_blocks` with each row as a ``(track id, box)`` pair."""
+    return {frame: list(zip(_ids(boxes), _boxes(boxes))) for frame, boxes in read_result_blocks(path).items()}
+
+
+def _ids(boxes: FrameBoxes):
+    """The ids as Python ints, exactly as the file holds them."""
+    return map(int, boxes.ids.tolist())
+
+
+def _boxes(boxes: FrameBoxes):
+    """A :class:`BoundingBox` per row."""
+    return map(BoundingBox, *boxes.xyah.T.tolist())
+
+
+def _write_rows(path, rows: Iterable[tuple], line_format: str = LINE_FORMAT) -> None:
+    """Write rows of the fields a line format takes, one line each, in order.
+
+    Each run of :data:`CHUNK_LINES` rows is formatted by one ``%`` call.
+    """
+    rows = iter(rows)
+    line = line_format + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(format_record(record) + "\n" for record in records))
+            while chunk := list(islice(rows, CHUNK_LINES)):
+                fh.write((line * len(chunk)) % tuple(chain.from_iterable(chunk)))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_blocks(path, frames: list, blocks: list[FrameBoxes]) -> None:
+    """Write per-frame blocks as lines ``frame, id, tlwh, score, -1, -1, -1``."""
+    if not blocks:
+        return _write_rows(path, [])
+    ids, xyah, scores = (np.concatenate(column) for column in zip(*blocks))
+    x, y, a, h = xyah.T
+    frame = chain.from_iterable(map(repeat, frames, [len(b.ids) for b in blocks]))
+    columns = (ids.tolist(), x.tolist(), y.tolist(), (a * h).tolist(), h.tolist(), scores.tolist())
+    _write_rows(path, zip(frame, *columns), BOX_LINE_FORMAT)
+
+
+def write_records(path, records: Iterable[MotRecord]) -> None:
+    """Write records in the canonical line format, in the given order."""
+    _write_rows(path, records)
+
+
 def write_results(path, results: Iterable[FrameResult]) -> None:
     """Write tracker outputs as a MOTChallenge result file, frames ascending."""
-    records = []
-    for frame_result in sorted(results, key=lambda r: r.frame_index):
-        for out in frame_result.outputs:
-            x, y, w, h = out.box.to_tlwh()
-            records.append(
-                MotRecord(frame_result.frame_index, out.track_id, x, y, w, h, out.score)
-            )
-    write_records(path, records)
+    results = sorted(results, key=lambda r: r.frame_index)
+    _write_blocks(path, [r.frame_index for r in results], [r.boxes for r in results])
 
 
-def write_detections(path, detections_by_frame: dict[int, list[Detection]]) -> None:
-    """Write per-frame detections as a MOTChallenge det file (id column -1)."""
-    records = []
-    for frame in sorted(detections_by_frame):
-        for det in detections_by_frame[frame]:
-            x, y, w, h = det.box.to_tlwh()
-            records.append(MotRecord(frame, -1, x, y, w, h, det.score))
-    write_records(path, records)
+def write_detections(path, detections_by_frame) -> None:
+    """Write per-frame detections (``(n, 5)`` blocks or :class:`Detection`
+    lists) as a MOTChallenge det file (id column -1)."""
+    frames = sorted(detections_by_frame)
+    blocks = [detection_block(detections_by_frame[frame]) for frame in frames]
+    _write_blocks(path, frames, [FrameBoxes(np.full(len(b), -1), b[:, :4], b[:, 4]) for b in blocks])
 
 
 def write_ground_truth(path, gt_by_frame) -> None:
-    """Write per-frame ``(id, box)`` ground truth with the consider flag set."""
-    records = []
-    for frame in sorted(gt_by_frame):
-        for track_id, box in gt_by_frame[frame]:
-            x, y, w, h = box.to_tlwh()
-            records.append(MotRecord(frame, int(track_id), x, y, w, h, 1.0))
-    write_records(path, records)
+    """Write per-frame ground truth: ``(id, box)`` pairs with the consider
+    flag set, or :class:`FrameBoxes` whose scores are the flag."""
+    frames = sorted(gt_by_frame)
+    _write_blocks(path, frames, [frame_boxes(gt_by_frame[frame]) for frame in frames])

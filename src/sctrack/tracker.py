@@ -25,12 +25,13 @@ A tracker instance must be stepped sequentially; independent instances
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import assignment, geometry, kalman
-from .geometry import BoundingBox, Detection, ShapeIoUParams
+from .frames import NO_BOXES, FrameBoxes, detection_block
+from .geometry import BoundingBox, ShapeIoUParams
 from .kalman import NoiseConfig
 
 
@@ -128,12 +129,41 @@ class TrackOutput:
     score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameResult:
-    """Confirmed tracks updated in one frame, at most one entry per id."""
+    """Confirmed tracks updated in one frame, at most one entry per id.
+
+    ``boxes`` holds them as one block (the tracker emits ids ascending); a
+    list of :class:`TrackOutput` passed in its place is converted.
+    ``outputs`` builds the per-track objects from the block on each access.
+    """
 
     frame_index: int
-    outputs: list[TrackOutput] = field(default_factory=list)
+    boxes: FrameBoxes = NO_BOXES
+
+    def __post_init__(self):
+        if not isinstance(self.boxes, FrameBoxes):
+            outputs = list(self.boxes)
+            object.__setattr__(
+                self,
+                "boxes",
+                FrameBoxes.of(
+                    [o.track_id for o in outputs], [o.box for o in outputs], [o.score for o in outputs]
+                ),
+            )
+
+    @property
+    def outputs(self) -> list[TrackOutput]:
+        ids, xyah, scores = self.boxes
+        return [
+            TrackOutput(track_id, BoundingBox(*box), score)
+            for track_id, box, score in zip(ids.tolist(), xyah.tolist(), scores.tolist())
+        ]
+
+    def __eq__(self, other):
+        if not isinstance(other, FrameResult):
+            return NotImplemented
+        return self.frame_index == other.frame_index and all(map(np.array_equal, self.boxes, other.boxes))
 
 
 class SCTracker:
@@ -167,20 +197,20 @@ class SCTracker:
     def step(self, frame_index: int, detections) -> FrameResult:
         """Process one frame of detections and return the confirmed outputs.
 
-        Frame indices must be strictly increasing across calls.  Tracks
-        seeded on the tracker's very first frame are confirmed immediately
-        (there is no earlier frame that could have confirmed them); later
-        births start tentative and confirm on their first association.
+        ``detections`` is an ``(n, 5)`` block ``[x, y, a, h, score]`` or an
+        iterable of :class:`~sctrack.geometry.Detection` (see
+        :func:`~sctrack.frames.detection_block`).  Frame indices must be
+        strictly increasing across calls.  Tracks seeded on the tracker's
+        very first frame are confirmed immediately (there is no earlier
+        frame that could have confirmed them); later births start tentative
+        and confirm on their first association.
         """
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValueError(
                 f"frame index must be strictly increasing, got {frame_index} "
                 f"after {self._last_frame}"
             )
-        detections = list(detections)
-        for det in detections:
-            if not isinstance(det, Detection):
-                raise TypeError(f"expected Detection, got {type(det).__name__}")
+        table = detection_block(detections)
         first_frame = self._last_frame is None
         self._last_frame = frame_index
         cfg = self.config
@@ -200,20 +230,21 @@ class SCTracker:
         if keep is not None:
             corners = corners[keep]
 
-        # detection rows [x, y, a, h, score]; index sets are Python lists, as
-        # the assignment results are
-        table = np.array([(d.box.x, d.box.y, d.box.a, d.box.h, d.score) for d in detections]).reshape(-1, 5)
+        # index sets are Python lists, as the assignment results are
         measured = table[:, : kalman.MEASUREMENT_DIM]
         det_corners = geometry.xyah_to_corners(measured)
-        high = [j for j, d in enumerate(detections) if d.score >= cfg.high_thresh]
-        low = [j for j, d in enumerate(detections) if cfg.low_thresh <= d.score < cfg.high_thresh]
+        scores = table[:, 4].tolist()
+        high = [j for j, s in enumerate(scores) if s >= cfg.high_thresh]
+        low = [j for j, s in enumerate(scores) if cfg.low_thresh <= s < cfg.high_thresh]
 
         def associate(rows, cols, gate):
             """Solve one stage; returns (matched row/col pairs, unmatched rows, unmatched cols)."""
             if not rows or not cols:
                 return [], rows, cols
             result = assignment.solve(
-                geometry.pairwise_shape_iou_distance(corners[rows], det_corners[cols], cfg.shape_params),
+                geometry.pairwise_shape_iou_distance(
+                    corners.take(rows, 0), det_corners.take(cols, 0), cfg.shape_params
+                ),
                 gate,
             )
             return (
@@ -240,23 +271,34 @@ class SCTracker:
         else:
             missed_tentative = tentative
 
-        outputs: list[TrackOutput] = []
+        # outputs come from matches, except on the first frame (no tracks to
+        # match yet), where they are the births
+        outputs = NO_BOXES
         if matched:
             rows = [r for r, _ in matched]
             cols = [c for _, c in matched]
+            # ``take`` rather than list indexing: the same rows at less call cost
+            matched_scores = table[:, 4].take(cols)
             means, covariances = kalman.batch_update(
-                self.means[rows], self.covariances[rows], measured[cols], table[cols, 4], noise
+                self.means.take(rows, 0), self.covariances.take(rows, 0),
+                measured.take(cols, 0), matched_scores, noise,
             )
             self.means[rows], self.covariances[rows] = means, covariances
             valid = kalman.valid_rows(means).tolist()
-            for row, col, box, ok in zip(rows, cols, means[:, : kalman.MEASUREMENT_DIM].tolist(), valid):
+            emitted = {}  # position in ``matched`` -> track id
+            for k, (row, ok) in enumerate(zip(rows, valid)):
                 track = self.tracks[row]
                 track.frames_since_update = 0
-                if not ok:
+                if ok:
+                    track.status = TrackStatus.CONFIRMED
+                    emitted[k] = track.track_id
+                else:
                     track.status = TrackStatus.REMOVED
-                    continue
-                track.status = TrackStatus.CONFIRMED
-                outputs.append(TrackOutput(track.track_id, BoundingBox(*box), detections[col].score))
+            order = sorted(emitted, key=emitted.__getitem__)
+            ids = np.array([emitted[k] for k in order], dtype=np.int64)
+            if order != list(range(len(matched))):  # a match dropped, or ids out of order
+                means, matched_scores = means.take(order, 0), matched_scores.take(order)
+            outputs = FrameBoxes(ids, means[:, : kalman.MEASUREMENT_DIM], matched_scores)
 
         for row in missed:
             track = self.tracks[row]
@@ -267,21 +309,20 @@ class SCTracker:
         self._drop_removed()
 
         # seed new tracks from confident leftovers
-        born = [j for j in high_left if detections[j].score >= cfg.new_track_thresh]
+        born = [j for j in high_left if scores[j] >= cfg.new_track_thresh]
         if born:
-            means, covariances = kalman.batch_initiate(measured[born], noise)
+            born_xyah = measured.take(born, 0)
+            means, covariances = kalman.batch_initiate(born_xyah, noise)
             self.means = np.concatenate([self.means, means])
             self.covariances = np.concatenate([self.covariances, covariances])
             status = TrackStatus.CONFIRMED if first_frame else TrackStatus.TENTATIVE
-            for j in born:
-                track = Track(track_id=self._next_id, status=status)
-                self._next_id += 1
-                self.tracks.append(track)
-                if first_frame:
-                    outputs.append(TrackOutput(track.track_id, detections[j].box, detections[j].score))
+            ids = np.arange(self._next_id, self._next_id + len(born), dtype=np.int64)
+            self.tracks += [Track(track_id=i, status=status) for i in ids.tolist()]
+            self._next_id += len(born)
+            if first_frame:
+                outputs = FrameBoxes(ids, born_xyah, table[:, 4].take(born))
 
-        outputs.sort(key=lambda o: o.track_id)
-        return FrameResult(frame_index=frame_index, outputs=outputs)
+        return FrameResult(frame_index, outputs)
 
 
 def run_sequence(detections_by_frame, config: TrackerConfig = TrackerConfig()) -> list[FrameResult]:

@@ -205,6 +205,18 @@ def identity_f1_ref(gt, results, thresh=0.5):
     return 2 * best / total
 
 
+# --- MOT line format, one f-string per record ---------------------------------
+
+def format_record_ref(record) -> str:
+    """The canonical line as the per-record writer built it."""
+    return (
+        f"{record.frame},{record.track_id},"
+        f"{record.bb_left:.2f},{record.bb_top:.2f},"
+        f"{record.bb_width:.2f},{record.bb_height:.2f},"
+        f"{record.conf:.4f},{record.x:.0f},{record.y:.0f},{record.z:.0f}"
+    )
+
+
 # --- MOT file readers, one line at a time -------------------------------------
 #
 # The per-line readers the chunked ones in ``sctrack.motio`` replaced: each

@@ -3,7 +3,8 @@ import os
 import pytest
 
 from sctrack.ablation import COMPONENT_ARMS, arm_config
-from sctrack.cli import _tracker_config, build_parser, main
+from sctrack import tracker
+from sctrack.cli import _tracker_config, build_parser, load_config, main
 from sctrack.geometry import ShapeIoUParams
 from sctrack.kalman import NoiseConfig
 from sctrack.metrics import MetricsReport
@@ -118,6 +119,34 @@ class TestTrack:
                 use_confidence_noise=False, use_velocity_blend=True,
             ),
         )
+
+    def test_rejected_file_value_names_file_and_line(self, tmp_path, scenario_dir, capsys, monkeypatch):
+        monkeypatch.delenv("SCTRACK_CONFIG", raising=False)
+        cfg = tmp_path / "conf.cfg"
+        cfg.write_text("high_thresh = 0.6\n# comment\nlow_thresh = 0.9\n")
+        argv = ["track", "--detections", scenario_dir["det"], "--output", str(tmp_path / "res.txt")]
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: need 0 <= low_thresh < high_thresh <= 1, got low=0.9, high=0.6\n"
+        )
+        # a flag overrides the file's low_thresh: the file line left is high_thresh's
+        assert main(argv + ["--config", str(cfg), "--low-thresh", "0.7"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:1: need 0 <= low_thresh")
+        # a flag can repair a file value, since only the final values are checked
+        assert main(argv + ["--config", str(cfg), "--low-thresh", "0.2"]) == 0
+
+    def test_rejection_naming_only_flags_has_no_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SCTRACK_CONFIG", raising=False)
+        cfg = tmp_path / "conf.cfg"
+        cfg.write_text("max_lost_frames = 12\n")
+        argv = ["track", "--detections", "d", "--output", "o", "--config", str(cfg), "--gate1", "-1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: match_gate_stage1 must be non-negative\n"
+
+    def test_load_config_returns_values_only(self, tmp_path):
+        cfg = tmp_path / "conf.cfg"
+        cfg.write_text("low_thresh = 0.9\nuse_area_term = no\n")
+        assert load_config(cfg) == {"low_thresh": 0.9, "use_area_term": False}
 
     def test_switches_give_the_baseline_arm(self, monkeypatch):
         monkeypatch.delenv("SCTRACK_CONFIG", raising=False)
@@ -272,6 +301,14 @@ class TestAblate:
             main(["ablate", "--scenario", "straight_clean", "--num-seeds", count])
         assert exc.value.code == 2
         assert "--num-seeds" in capsys.readouterr().err
+
+    def test_tracking_failure_is_an_error_line(self, monkeypatch, capsys):
+        def failing_step(self, frame_index, detections):
+            raise ValueError("state went bad")
+
+        monkeypatch.setattr(tracker.SCTracker, "step", failing_step)
+        assert main(["ablate", "--scenario", "straight_clean", "--num-seeds", "1"]) == 1
+        assert capsys.readouterr().err == "error: tracking failed at frame 1: state went bad\n"
 
     def test_directional_on_contrast_scenarios(self, capsys):
         assert (
