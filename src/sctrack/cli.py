@@ -86,7 +86,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gate2", type=float, dest="match_gate_stage2")
     parser.add_argument("--gate-unconfirmed", type=float, dest="match_gate_unconfirmed")
     parser.add_argument("--max-lost", type=int, dest="max_lost_frames")
-    parser.add_argument("--epsilon", type=float, dest="epsilon")
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -162,7 +161,7 @@ def _tracker_config(args) -> TrackerConfig:
 
 def cmd_track(args) -> int:
     config = _tracker_config(args)
-    detections = motio.scan_detection_blocks(args.detections)[0]
+    detections = motio.read_detections(args.detections)
     if not detections:
         results = []
         frame_ms: list[float] = []
@@ -191,7 +190,7 @@ def cmd_eval(args) -> int:
         frame: boxes.select(boxes.scores != 0)
         for frame, boxes in motio.read_ground_truth_blocks(args.gt).items()
     }
-    results = motio.read_result_blocks(args.res)
+    results = motio.read_results(args.res)
     report = metrics.evaluate(gt, results, iou_match_thresh=args.iou_thresh)
     print(report.to_text())
     if args.output:

@@ -22,11 +22,9 @@ DETECTION_COLUMNS = 5
 class FrameBoxes(NamedTuple):
     """One frame's boxes with ids, one row per box.
 
-    ``ids`` is integer-valued: int64 when built from objects or by the
-    tracker, float64 when read from a MOT file (every field parses as a
-    float, and ``int()`` of each gives the id the object readers return).
-    ``xyah`` holds float64 rows ``[x, y, a, h]``; ``scores`` holds the
-    confidence, or for ground truth the consider flag.
+    ``ids`` holds int64 ids, whether a reader, the tracker or :meth:`of`
+    built the block.  ``xyah`` holds float64 rows ``[x, y, a, h]``;
+    ``scores`` holds the confidence, or for ground truth the consider flag.
     """
 
     ids: np.ndarray

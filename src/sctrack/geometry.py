@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# stabilizes the shape-penalty denominators
 DEFAULT_EPSILON = 1e-7
 
 
@@ -82,19 +83,13 @@ class Detection:
 
 @dataclass(frozen=True)
 class ShapeIoUParams:
-    """Switches and stabilizer for the shape-aware IoU distance.
+    """Switches for the two shape terms of the shape-aware IoU distance.
 
-    With both term flags off the distance reduces exactly to ``1 - IoU``.
-    ``epsilon`` keeps the penalty denominators valid; it must be positive.
+    With both off the distance reduces exactly to ``1 - IoU``.
     """
 
-    epsilon: float = DEFAULT_EPSILON
     use_height_term: bool = True
     use_area_term: bool = True
-
-    def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be a positive finite value, got {self.epsilon}")
 
 
 def boxes_to_corners(boxes) -> np.ndarray:
@@ -154,22 +149,21 @@ def pairwise_shape_iou_distance(
 
     Each entry is ``1 - IoU`` plus, when enabled, the squared height and area
     differences of the pair normalized by the height / area of their minimum
-    enclosing rectangle (stabilized by ``params.epsilon``).
+    enclosing rectangle (stabilized by :data:`DEFAULT_EPSILON`).
     """
     m, n = len(corners_a), len(corners_b)
     if m == 0 or n == 0:
         return np.zeros((m, n), dtype=np.float64)
     overlap, a, b, h_a, h_b, area_a, area_b = _pairwise_overlap(corners_a, corners_b)
     dist = 1.0 - overlap
-    eps = params.epsilon
     if params.use_height_term or params.use_area_term:
         enclosing_h = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
         if params.use_height_term:
-            dist = dist + (h_a - h_b) ** 2 / (enclosing_h + eps) ** 2
+            dist = dist + (h_a - h_b) ** 2 / (enclosing_h + DEFAULT_EPSILON) ** 2
         if params.use_area_term:
             enclosing_w = np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])
             enclosing_area = enclosing_w * enclosing_h
-            dist = dist + (area_a - area_b) ** 2 / (enclosing_area + eps) ** 2
+            dist = dist + (area_a - area_b) ** 2 / (enclosing_area + DEFAULT_EPSILON) ** 2
     return dist
 
 

@@ -27,7 +27,6 @@ observe partial updates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +41,11 @@ for _i in range(MEASUREMENT_DIM):
     _TRANSITION[_i, MEASUREMENT_DIM + _i] = 1.0
 _IDENTITY = np.eye(STATE_DIM)
 
+# position and velocity noise standard deviations per unit of box height, the
+# weights of the usual box-tracking filter
+_WP = 1.0 / 20
+_WV = 1.0 / 160
+
 # aspect ratio is dimensionless; its noise does not scale with box height
 _ASPECT_STD = 1e-2
 _ASPECT_VELOCITY_STD = 1e-5
@@ -54,16 +58,10 @@ class InvalidStateError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Noise scales and confidence-mechanism switches for the filter."""
+    """Confidence-mechanism switches for the filter."""
 
-    std_weight_position: float = 1.0 / 20
-    std_weight_velocity: float = 1.0 / 160
     use_confidence_noise: bool = True
     use_velocity_blend: bool = True
-
-    def __post_init__(self):
-        if not (self.std_weight_position > 0 and self.std_weight_velocity > 0):
-            raise ValueError("noise weights must be positive")
 
 
 @dataclass(frozen=True)
@@ -78,32 +76,24 @@ class KalmanState:
 
 
 # Each kernel's noise standard deviations are ``h * weight + constant`` per
-# state component, ``h`` being the box height: the weights come from the
-# NoiseConfig, the constants are the aspect-ratio terms.
-_STD_CONSTANTS = {
-    "initiate": np.array([0, 0, _ASPECT_STD, 0, 0, 0, _ASPECT_VELOCITY_STD, 0]),
-    "predict": np.array([0, 0, _ASPECT_STD, 0, 0, 0, _ASPECT_VELOCITY_STD, 0]),
-    "measure": np.array([0, 0, _ASPECT_MEASUREMENT_STD, 0]),
+# state component, ``h`` being the box height: ``(weights, constants)`` rows.
+_STD_ROWS = {
+    "initiate": (
+        np.array([2 * _WP, 2 * _WP, 0, 2 * _WP, 10 * _WV, 10 * _WV, 0, 10 * _WV]),
+        np.array([0, 0, _ASPECT_STD, 0, 0, 0, _ASPECT_VELOCITY_STD, 0]),
+    ),
+    "predict": (
+        np.array([_WP, _WP, 0, _WP, _WV, _WV, 0, _WV]),
+        np.array([0, 0, _ASPECT_STD, 0, 0, 0, _ASPECT_VELOCITY_STD, 0]),
+    ),
+    "measure": (np.array([_WP, _WP, 0, _WP]), np.array([0, 0, _ASPECT_MEASUREMENT_STD, 0])),
 }
 
 
-@lru_cache(maxsize=32)
-def _std_weights(config: NoiseConfig) -> dict:
-    """Per-kernel weight rows, built once per configuration (read-only)."""
-    wp, wv = config.std_weight_position, config.std_weight_velocity
-    weights = {
-        "initiate": np.array([2 * wp, 2 * wp, 0, 2 * wp, 10 * wv, 10 * wv, 0, 10 * wv]),
-        "predict": np.array([wp, wp, 0, wp, wv, wv, 0, wv]),
-        "measure": np.array([wp, wp, 0, wp]),
-    }
-    for row in weights.values():
-        row.flags.writeable = False
-    return weights
-
-
-def _variances(kernel: str, h: np.ndarray, config: NoiseConfig) -> np.ndarray:
+def _variances(kernel: str, h: np.ndarray) -> np.ndarray:
     """Diagonal noise variances of one kernel, one row per height in ``h``."""
-    return np.square(h[:, None] * _std_weights(config)[kernel] + _STD_CONSTANTS[kernel])
+    weights, constants = _STD_ROWS[kernel]
+    return np.square(h[:, None] * weights + constants)
 
 
 def _add_diagonal(matrices: np.ndarray, rows: np.ndarray) -> None:
@@ -126,7 +116,7 @@ def batch_initiate(measurements: np.ndarray, config: NoiseConfig = NoiseConfig()
     mean = np.zeros((n, STATE_DIM))
     mean[:, :MEASUREMENT_DIM] = measurements
     covariance = np.zeros((n, STATE_DIM, STATE_DIM))
-    _add_diagonal(covariance, _variances("initiate", measurements[:, 3], config))
+    _add_diagonal(covariance, _variances("initiate", measurements[:, 3]))
     return mean, covariance
 
 
@@ -136,7 +126,7 @@ def batch_predict(mean: np.ndarray, covariance: np.ndarray, config: NoiseConfig 
     Process noise scales with each row's height before the step.  The inputs
     are left untouched; fresh ``(mean, covariance)`` arrays are returned.
     """
-    variances = _variances("predict", mean[:, 3], config)
+    variances = _variances("predict", mean[:, 3])
     new_mean = mean @ _TRANSITION.T
     new_covariance = _TRANSITION @ covariance @ _TRANSITION.T
     _add_diagonal(new_covariance, variances)
@@ -145,7 +135,7 @@ def batch_predict(mean: np.ndarray, covariance: np.ndarray, config: NoiseConfig 
 
 def _measurement_variances(h: np.ndarray, scores: np.ndarray, config: NoiseConfig) -> np.ndarray:
     """Diagonal measurement variances ``(N, 4)``, confidence-scaled when enabled."""
-    variances = _variances("measure", h, config)
+    variances = _variances("measure", h)
     if config.use_confidence_noise:
         variances = variances * (1.0 - scores**2)[:, None]
     return variances

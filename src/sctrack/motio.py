@@ -19,8 +19,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .frames import FrameBoxes, detection_block, frame_boxes, repeated, split
-from .geometry import BoundingBox, Detection
-from .tracker import FrameResult
+from .geometry import BoundingBox
 
 logger = logging.getLogger(__name__)
 
@@ -101,11 +100,14 @@ def _parse_rows(path, line_nos, lines: list[str]):
         block = _float_block(lines[:n])
     keys = block[:, :2]
     integral = (np.isfinite(keys) & (np.floor(keys) == keys)).all(axis=1)
-    if not integral.all():
-        n = _first(~integral)
+    # from 2**53 on, neighbouring integers parse to the same float64
+    exact = (np.abs(keys) < 2**53).all(axis=1)
+    if not (integral & exact).all():
+        n = _first(~(integral & exact))
         fields = lines[n].split(",")
+        rule = "be integral" if not integral[n] else "lie below 2**53 in magnitude"
         error = ParseError(
-            path, int(line_nos[n]), f"frame and id must be integral, got {fields[0]!r}, {fields[1]!r}"
+            path, int(line_nos[n]), f"frame and id must {rule}, got {fields[0]!r}, {fields[1]!r}"
         )
         block = block[:n]
     return block, error
@@ -131,12 +133,12 @@ def _numeric(line: str) -> bool:
 def _read_rows(path):
     """Yield ``(line_nos, block)`` for the non-blank lines of a file, in chunks.
 
-    ``block`` is an ``(n, 10)`` float64 array whose frame and id columns are
-    finite and integral; ``line_nos`` holds the 1-based line number of each
-    row.  At the first malformed line the rows before it are yielded and then
-    ParseError is raised (never a bare decode/conversion error), so arbitrary
-    bytes are tolerated up to that point.  At most :data:`CHUNK_LINES` lines
-    are held at once.
+    ``block`` is an ``(n, 10)`` float64 array whose frame and id columns
+    hold integers of magnitude below 2**53 (so each is exact); ``line_nos``
+    holds the 1-based line number of each row.  At the first malformed line
+    the rows before it are yielded and then ParseError is raised (never a
+    bare decode/conversion error), so arbitrary bytes are tolerated up to
+    that point.  At most :data:`CHUNK_LINES` lines are held at once.
     """
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -231,7 +233,7 @@ def _by_frame(frames: np.ndarray, *columns) -> dict:
     return dict(zip(map(int, keys.tolist()), zip(*parts)))
 
 
-def scan_detection_blocks(path) -> tuple[dict[int, np.ndarray], ParseStats]:
+def scan_detections(path) -> tuple[dict[int, np.ndarray], ParseStats]:
     """Read a detection file as frame -> ``(n, 5)`` block ``[x, y, a, h, score]``.
 
     Rows with non-positive box sizes or non-finite values (or a frame below
@@ -258,17 +260,8 @@ def scan_detection_blocks(path) -> tuple[dict[int, np.ndarray], ParseStats]:
     return {frame: part for frame, (part,) in _by_frame(block[keep, 0], rows).items()}, stats
 
 
-def scan_detections(path) -> tuple[dict[int, list[Detection]], ParseStats]:
-    """:func:`scan_detection_blocks` with each row as a :class:`Detection`."""
-    blocks, stats = scan_detection_blocks(path)
-    return {
-        frame: [Detection(BoundingBox(x, y, a, h), score) for x, y, a, h, score in block.tolist()]
-        for frame, block in blocks.items()
-    }, stats
-
-
-def read_detections(path) -> dict[int, list[Detection]]:
-    """Read a MOTChallenge detection file grouped by frame."""
+def read_detections(path) -> dict[int, np.ndarray]:
+    """:func:`scan_detections` without its stats."""
     return scan_detections(path)[0]
 
 
@@ -280,7 +273,7 @@ def read_ground_truth_blocks(path) -> dict[int, FrameBoxes]:
     should not take part in evaluation.
     """
     block, line_nos, error = _read_block(path)
-    frames, ids = block[:, 0], block[:, 1]
+    frames, ids = block[:, 0], block[:, 1].astype(np.int64)
     xyah = _xyah(block)
     geometry_ok = _usable(block) & (frames >= 1)
     _raise_first(
@@ -305,12 +298,14 @@ def read_ground_truth(path) -> dict[int, list[GroundTruthEntry]]:
     """:func:`read_ground_truth_blocks` with each row as a :class:`GroundTruthEntry`;
     rows whose consider flag is 0 have ``evaluable=False``."""
     return {
-        frame: list(map(GroundTruthEntry, _ids(boxes), _boxes(boxes), (boxes.scores != 0).tolist()))
-        for frame, boxes in read_ground_truth_blocks(path).items()
+        frame: list(
+            map(GroundTruthEntry, ids.tolist(), map(BoundingBox, *xyah.T.tolist()), (scores != 0).tolist())
+        )
+        for frame, (ids, xyah, scores) in read_ground_truth_blocks(path).items()
     }
 
 
-def read_result_blocks(path) -> dict[int, FrameBoxes]:
+def read_results(path) -> dict[int, FrameBoxes]:
     """Read a tracker result file as frame -> :class:`FrameBoxes`.
 
     Rows with a non-positive width or height are skipped; a row with a
@@ -318,7 +313,7 @@ def read_result_blocks(path) -> dict[int, FrameBoxes]:
     ParseError.  Frames are returned in ascending order.
     """
     block, line_nos, error = _read_block(path)
-    frames, ids = block[:, 0], block[:, 1]
+    frames, ids = block[:, 0], block[:, 1].astype(np.int64)
     xyah = _xyah(block)
     kept = _usable(block)
     repeats = np.zeros(len(block), bool)
@@ -338,21 +333,6 @@ def read_result_blocks(path) -> dict[int, FrameBoxes]:
         frame: FrameBoxes(*parts)
         for frame, parts in _by_frame(frames[kept], ids[kept], xyah[kept], block[kept, 6]).items()
     }
-
-
-def read_results(path) -> dict[int, list[tuple[int, BoundingBox]]]:
-    """:func:`read_result_blocks` with each row as a ``(track id, box)`` pair."""
-    return {frame: list(zip(_ids(boxes), _boxes(boxes))) for frame, boxes in read_result_blocks(path).items()}
-
-
-def _ids(boxes: FrameBoxes):
-    """The ids as Python ints, exactly as the file holds them."""
-    return map(int, boxes.ids.tolist())
-
-
-def _boxes(boxes: FrameBoxes):
-    """A :class:`BoundingBox` per row."""
-    return map(BoundingBox, *boxes.xyah.T.tolist())
 
 
 def _write_rows(path, rows: Iterable[tuple], line_format: str = LINE_FORMAT) -> None:
@@ -386,8 +366,9 @@ def write_records(path, records: Iterable[MotRecord]) -> None:
     _write_rows(path, records)
 
 
-def write_results(path, results: Iterable[FrameResult]) -> None:
-    """Write tracker outputs as a MOTChallenge result file, frames ascending."""
+def write_results(path, results: Iterable) -> None:
+    """Write tracker outputs (:class:`~sctrack.tracker.FrameResult`) as a
+    MOTChallenge result file, frames ascending."""
     results = sorted(results, key=lambda r: r.frame_index)
     _write_blocks(path, [r.frame_index for r in results], [r.boxes for r in results])
 

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import motio
 from .geometry import BoundingBox, Detection
 
 IMAGE_WIDTH = 1920.0
@@ -318,8 +319,6 @@ def save_scenario(spec: ScenarioSpec, out_dir) -> dict:
     Returns the paths that were written.  The JSON sidecar records the full
     spec (including the seed) so a run can be reproduced exactly.
     """
-    from . import motio  # deferred: motio pulls in the tracker types
-
     os.makedirs(out_dir, exist_ok=True)
     gt, detections = generate(spec)
     paths = {

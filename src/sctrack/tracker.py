@@ -71,7 +71,6 @@ class TrackerConfig:
     match_gate_stage2: float = 0.5
     match_gate_unconfirmed: float = 0.7
     max_lost_frames: int = 30
-    use_unconfirmed_stage: bool = True
     shape_params: ShapeIoUParams = ShapeIoUParams()
     noise_config: NoiseConfig = NoiseConfig()
 
@@ -133,24 +132,13 @@ class TrackOutput:
 class FrameResult:
     """Confirmed tracks updated in one frame, at most one entry per id.
 
-    ``boxes`` holds them as one block (the tracker emits ids ascending); a
-    list of :class:`TrackOutput` passed in its place is converted.
-    ``outputs`` builds the per-track objects from the block on each access.
+    ``boxes`` holds them as one :class:`FrameBoxes` block (the tracker emits
+    ids ascending).  ``outputs`` builds the per-track objects from the block
+    on each access.
     """
 
     frame_index: int
     boxes: FrameBoxes = NO_BOXES
-
-    def __post_init__(self):
-        if not isinstance(self.boxes, FrameBoxes):
-            outputs = list(self.boxes)
-            object.__setattr__(
-                self,
-                "boxes",
-                FrameBoxes.of(
-                    [o.track_id for o in outputs], [o.box for o in outputs], [o.score for o in outputs]
-                ),
-            )
 
     @property
     def outputs(self) -> list[TrackOutput]:
@@ -263,13 +251,8 @@ class SCTracker:
 
         # stage 3: tentative tracks vs the high detections nobody claimed
         tentative = [i for i, t in enumerate(self.tracks) if t.status is TrackStatus.TENTATIVE]
-        if cfg.use_unconfirmed_stage and tentative:
-            matched3, missed_tentative, high_left = associate(
-                tentative, high_left, cfg.match_gate_unconfirmed
-            )
-            matched += matched3
-        else:
-            missed_tentative = tentative
+        matched3, missed_tentative, high_left = associate(tentative, high_left, cfg.match_gate_unconfirmed)
+        matched += matched3
 
         # outputs come from matches, except on the first frame (no tracks to
         # match yet), where they are the births

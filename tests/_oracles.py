@@ -13,6 +13,9 @@ import itertools
 import math
 from functools import lru_cache
 
+import numpy as np
+
+from sctrack.frames import FrameBoxes
 from sctrack.geometry import BoundingBox, Detection
 from sctrack.motio import FIELD_COUNT, GroundTruthEntry, MotRecord, ParseError, ParseStats
 
@@ -221,8 +224,8 @@ def format_record_ref(record) -> str:
 #
 # The per-line readers the chunked ones in ``sctrack.motio`` replaced: each
 # row is parsed, checked and converted on its own, and the first failing row
-# raises.  They build the library's record and entry types so outputs compare
-# with ``==``.
+# raises.  Each returns the form its library reader returns: records, ground
+# truth entries, or per-frame blocks built from the accepted rows at the end.
 
 def _parse_line_ref(path, line_no, line):
     fields = line.split(",")
@@ -239,6 +242,10 @@ def _parse_line_ref(path, line_no, line):
         raise ParseError(path, line_no, f"frame and id must be integral, got {fields[0]!r}, {fields[1]!r}") from None
     if frame != values[0] or track_id != values[1]:
         raise ParseError(path, line_no, f"frame and id must be integral, got {fields[0]!r}, {fields[1]!r}")
+    if abs(frame) >= 2**53 or abs(track_id) >= 2**53:
+        raise ParseError(
+            path, line_no, f"frame and id must lie below 2**53 in magnitude, got {fields[0]!r}, {fields[1]!r}"
+        )
     return MotRecord(frame, track_id, *values[2:])
 
 
@@ -277,7 +284,11 @@ def scan_detections_ref(path):
             conf = min(max(conf, 0.0), 1.0)
             stats.clamped_scores += 1
         by_frame.setdefault(record.frame, []).append(Detection(box=_box_ref(record), score=conf))
-    return dict(sorted(by_frame.items())), stats
+    blocks = {
+        frame: np.array([(d.box.x, d.box.y, d.box.a, d.box.h, d.score) for d in detections])
+        for frame, detections in sorted(by_frame.items())
+    }
+    return blocks, stats
 
 
 def read_ground_truth_ref(path):
@@ -310,5 +321,12 @@ def read_results_ref(path):
         if key in seen:
             raise ParseError(path, line_no, f"frame {record.frame} repeats id {record.track_id}")
         seen.add(key)
-        by_frame.setdefault(record.frame, []).append((record.track_id, _box_ref(record)))
-    return dict(sorted(by_frame.items()))
+        by_frame.setdefault(record.frame, []).append((record.track_id, _box_ref(record), record.conf))
+    return {
+        frame: FrameBoxes(
+            np.array([track_id for track_id, _, _ in rows], dtype=np.int64),
+            np.array([(box.x, box.y, box.a, box.h) for _, box, _ in rows]),
+            np.array([conf for _, _, conf in rows]),
+        )
+        for frame, rows in sorted(by_frame.items())
+    }

@@ -47,18 +47,13 @@ class TestArms:
         ],
     )
     def test_arm_config_sets_only_the_switches(self, family, label, height, area, conf):
-        base = TrackerConfig(
-            high_thresh=0.7,
-            shape_params=ShapeIoUParams(epsilon=1e-6),
-            noise_config=NoiseConfig(std_weight_position=0.1),
-        )
+        base = TrackerConfig(high_thresh=0.7, max_lost_frames=12)
         (arm,) = [a for a in ARM_FAMILIES[family] if a.label == label]
         assert arm_config(base, arm) == TrackerConfig(
             high_thresh=0.7,
-            shape_params=ShapeIoUParams(epsilon=1e-6, use_height_term=height, use_area_term=area),
-            noise_config=NoiseConfig(
-                std_weight_position=0.1, use_confidence_noise=conf, use_velocity_blend=conf
-            ),
+            max_lost_frames=12,
+            shape_params=ShapeIoUParams(use_height_term=height, use_area_term=area),
+            noise_config=NoiseConfig(use_confidence_noise=conf, use_velocity_blend=conf),
         )
 
     def test_baseline_reduces_to_plain_iou_association(self):

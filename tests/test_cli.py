@@ -104,20 +104,16 @@ class TestTrack:
         cfg.write_text(
             "high_thresh = 0.65\nlow_thresh = 0.2\nnew_track_thresh = 0.75\n"
             "match_gate_stage1 = 0.8\nmatch_gate_stage2 = 0.4\nmatch_gate_unconfirmed = 0.6\n"
-            "max_lost_frames = 12\nuse_unconfirmed_stage = false\nepsilon = 1e-6\n"
-            "use_height_term = false\nuse_area_term = true\nstd_weight_position = 0.1\n"
-            "std_weight_velocity = 0.02\nuse_confidence_noise = false\nuse_velocity_blend = true\n"
+            "max_lost_frames = 12\nuse_height_term = false\nuse_area_term = true\n"
+            "use_confidence_noise = false\nuse_velocity_blend = true\n"
         )
         args = build_parser().parse_args(["track", "--detections", "d", "--output", "o", "--config", str(cfg)])
         assert _tracker_config(args) == TrackerConfig(
             high_thresh=0.65, low_thresh=0.2, new_track_thresh=0.75,
             match_gate_stage1=0.8, match_gate_stage2=0.4, match_gate_unconfirmed=0.6,
-            max_lost_frames=12, use_unconfirmed_stage=False,
-            shape_params=ShapeIoUParams(epsilon=1e-6, use_height_term=False, use_area_term=True),
-            noise_config=NoiseConfig(
-                std_weight_position=0.1, std_weight_velocity=0.02,
-                use_confidence_noise=False, use_velocity_blend=True,
-            ),
+            max_lost_frames=12,
+            shape_params=ShapeIoUParams(use_height_term=False, use_area_term=True),
+            noise_config=NoiseConfig(use_confidence_noise=False, use_velocity_blend=True),
         )
 
     def test_rejected_file_value_names_file_and_line(self, tmp_path, scenario_dir, capsys, monkeypatch):
@@ -162,6 +158,8 @@ class TestTrack:
             ["ablate", "--no-conf"],
             ["track", "--detections", "d", "--output", "o", "--no-shape-height"],
             ["track", "--detections", "d", "--output", "o", "--no-shape-area"],
+            ["track", "--detections", "d", "--output", "o", "--epsilon", "1e-7"],
+            ["ablate", "--epsilon", "1e-7"],
         ],
     )
     def test_removed_switches_are_usage_errors(self, argv, capsys):
@@ -220,6 +218,28 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "frame 1 repeats id 7" in captured.err
+
+    @pytest.mark.parametrize(
+        "frames",
+        [
+            (1, 1),  # two ids in one frame: not a repeat of the first one
+            (1, 2),  # one id per frame: would score as one identity
+        ],
+    )
+    def test_ids_from_2_53_are_an_error(self, tmp_path, capsys, frames):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,0,0,50,100,1,-1,-1,-1\n2,2,300,0,50,100,1,-1,-1,-1\n")
+        res = tmp_path / "res.txt"
+        first, second = frames
+        res.write_text(
+            f"{first},9007199254740992,0,0,50,100,1,-1,-1,-1\n{second},9007199254740993,300,0,50,100,1,-1,-1,-1\n"
+        )
+        assert main(["eval", "--gt", str(gt), "--res", str(res)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {res}:1: frame and id must lie below 2**53 in magnitude, got '{first}', '9007199254740992'\n"
+        )
 
     @pytest.mark.parametrize("thresh", ["nan", "-0.2", "0", "1.5"])
     def test_out_of_range_iou_thresh_is_an_error(self, scenario_dir, capsys, thresh):

@@ -84,18 +84,19 @@ class TestFrameResult:
             TrackOutput(2, BoundingBox(1.0, 2.0, 0.5, 40.0), 0.75),
             TrackOutput(5, BoundingBox(-1.0, 0.5, 2.0, 3.0), 1.0),
         ]
-        result = FrameResult(3, outputs)
+        boxes = FrameBoxes.of([o.track_id for o in outputs], [o.box for o in outputs], [o.score for o in outputs])
+        result = FrameResult(3, boxes)
         assert result.outputs == outputs
         assert result.boxes.ids.dtype == np.int64
         assert result.boxes.xyah.tolist() == [[1.0, 2.0, 0.5, 40.0], [-1.0, 0.5, 2.0, 3.0]]
-        assert result == FrameResult(3, result.boxes)
-        assert result != FrameResult(4, outputs)
-        assert result != FrameResult(3, outputs[:1])
+        assert result == FrameResult(3, boxes.select([0, 1]))
+        assert result != FrameResult(4, boxes)
+        assert result != FrameResult(3, boxes.select([0]))
 
     def test_default_is_empty(self):
         assert FrameResult(1).outputs == []
-        assert FrameResult(1) == FrameResult(1, [])
-        one = FrameResult(2, [TrackOutput(1, BoundingBox(0, 0, 1, 1), 1.0)])
+        assert FrameResult(1) == FrameResult(1, FrameBoxes.of([], []))
+        one = FrameResult(2, FrameBoxes.of([1], [BoundingBox(0, 0, 1, 1)]))
         assert results_to_map([FrameResult(1), one]) == {2: one.boxes}
 
 
@@ -122,16 +123,12 @@ def test_evaluate_on_blocks_matches_evaluate_on_maps(pinned):
     """Every pinned evaluation, scored from blocks.
 
     ``test_golden_metrics.py`` holds ``evaluate`` on ``(id, box)`` maps to
-    the same pinned fields, exactly.  Ground-truth ids go in as float64, as
-    a file reader gives them.
+    the same pinned fields, exactly.
     """
     golden, expected = pinned
     k = 0
     for label, gt, _, _ in scenario_runs():
-        gt_blocks = {}
-        for frame, rows in gt.items():
-            ids, xyah, scores = frame_boxes(rows)
-            gt_blocks[frame] = FrameBoxes(ids.astype(np.float64), xyah, scores)
+        gt_blocks = {frame: frame_boxes(rows) for frame, rows in gt.items()}
         result_blocks = {frame: frame_boxes(rows) for frame, rows in pinned_results(golden, label).items()}
         for thresh in IOU_THRESHOLDS:
             report = evaluate(gt_blocks, result_blocks, thresh)

@@ -180,12 +180,6 @@ class TestShapeIoUDistance:
                 )
                 assert shape_iou_distance(b1, b2, params) == pytest.approx(expected, abs=1e-12)
 
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ShapeIoUParams(epsilon=0.0)
-        with pytest.raises(ValueError):
-            ShapeIoUParams(epsilon=-1e-7)
-
 
 class TestCostMatrix:
     def test_single_identical_pair(self):

@@ -211,11 +211,3 @@ class TestProject:
         )
         with pytest.raises(InvalidStateError):
             project(state)
-
-
-class TestNoiseConfig:
-    def test_rejects_non_positive_weights(self):
-        with pytest.raises(ValueError):
-            NoiseConfig(std_weight_position=0.0)
-        with pytest.raises(ValueError):
-            NoiseConfig(std_weight_velocity=-1.0)

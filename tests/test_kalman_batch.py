@@ -37,13 +37,7 @@ boxes = st.builds(
     st.floats(4.0, 500.0),
 )
 scores = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-configs = st.builds(
-    NoiseConfig,
-    std_weight_position=st.sampled_from([1.0 / 20, 0.1]),
-    std_weight_velocity=st.sampled_from([1.0 / 160, 0.02]),
-    use_confidence_noise=st.booleans(),
-    use_velocity_blend=st.booleans(),
-)
+configs = st.builds(NoiseConfig, use_confidence_noise=st.booleans(), use_velocity_blend=st.booleans())
 
 
 def rows_of(box_list):

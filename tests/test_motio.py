@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sctrack.cli import load_config
+from sctrack.frames import FrameBoxes, detection_block
 from sctrack.geometry import BoundingBox, Detection
 from sctrack.motio import (
     GroundTruthEntry,
@@ -11,6 +12,7 @@ from sctrack.motio import (
     iter_records,
     read_detections,
     read_ground_truth,
+    read_ground_truth_blocks,
     read_results,
     scan_detections,
     write_detections,
@@ -18,7 +20,7 @@ from sctrack.motio import (
     write_records,
     write_results,
 )
-from sctrack.tracker import FrameResult, TrackOutput
+from sctrack.tracker import FrameResult
 
 
 def write_lines(path, lines):
@@ -58,7 +60,7 @@ class TestDetectionReading:
         )
         by_frame, stats = scan_detections(path)
         assert stats.clamped_scores == 2
-        assert [d.score for d in by_frame[1]] == [1.0, 0.0]
+        assert by_frame[1][:, 4].tolist() == [1.0, 0.0]
 
     def test_out_of_order_frames_sorted(self, tmp_path):
         path = tmp_path / "det.txt"
@@ -111,7 +113,7 @@ class TestDetectionReading:
         path = tmp_path / "det.txt"
         write_lines(path, ["1,7,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1"])
         by_frame = read_detections(path)
-        assert isinstance(by_frame[1][0], Detection)
+        assert by_frame[1].tolist() == [[10.0, 20.0, 0.75, 40.0, 0.9]]
 
 
 class TestGroundTruthReading:
@@ -168,9 +170,12 @@ class TestResultReading:
                 "1,3,50.00,20.00,30.00,40.00,0.5000,-1,-1,-1",
             ],
         )
-        assert read_results(path) == {
-            1: [(3, BoundingBox.from_tlwh(50, 20, 30, 40))],
-            2: [(7, BoundingBox.from_tlwh(10, 20, 30, 40))],
+        by_frame = read_results(path)
+        assert list(by_frame) == [1, 2]
+        assert by_frame[1].ids.dtype == np.int64
+        assert {f: (b.ids.tolist(), b.xyah.tolist(), b.scores.tolist()) for f, b in by_frame.items()} == {
+            1: ([3], [[50.0, 20.0, 0.75, 40.0]], [0.5]),
+            2: ([7], [[10.0, 20.0, 0.75, 40.0]], [0.9]),
         }
 
     def test_repeated_id_in_a_frame_is_a_parse_error(self, tmp_path):
@@ -185,11 +190,47 @@ class TestResultReading:
         with pytest.raises(ParseError, match=r"res\.txt:2:"):
             read_results(path)
 
+
+class TestExactKeys:
+    """Frames and ids are read as int64, and only while float64 holds them exactly."""
+
+    def test_ids_below_2_53_are_read_exactly(self, tmp_path):
+        path = tmp_path / "res.txt"
+        write_lines(path, ["1,9007199254740991,0,0,50,100,1,-1,-1,-1", "1,7,300,0,50,100,1,-1,-1,-1"])
+        for read in (read_results, read_ground_truth_blocks):
+            ids = read(path)[1].ids
+            assert ids.dtype == np.int64 and ids.tolist() == [9007199254740991, 7]
+        assert [e.track_id for e in read_ground_truth(path)[1]] == [9007199254740991, 7]
+
+    READERS = {
+        "scan_detections": scan_detections,
+        "read_ground_truth_blocks": read_ground_truth_blocks,
+        "read_results": read_results,
+        "iter_records": lambda path: list(iter_records(path)),
+    }
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    @pytest.mark.parametrize(
+        "row, fields",
+        [
+            ("1,9007199254740992,0,0,50,100,1,-1,-1,-1", "'1', '9007199254740992'"),
+            ("-9007199254740993,1,0,0,50,100,1,-1,-1,-1", "'-9007199254740993', '1'"),
+        ],
+        ids=["id", "frame"],
+    )
+    def test_frame_or_id_from_2_53_is_a_parse_error(self, tmp_path, reader, row, fields):
+        path = tmp_path / "mot.txt"
+        write_lines(path, ["1,1,0,0,50,100,1,-1,-1,-1", row, "1,9007199254740993,300,0,50,100,1,-1,-1,-1"])
+        message = rf"mot\.txt:2: frame and id must lie below 2\*\*53 in magnitude, got {fields}$"
+        with pytest.raises(ParseError, match=message):
+            self.READERS[reader](path)
+
+
 class TestWriting:
     def make_results(self):
         return [
-            FrameResult(1, [TrackOutput(1, BoundingBox.from_tlwh(10.123, 20.456, 30.5, 40.25), 0.9)]),
-            FrameResult(2, [TrackOutput(1, BoundingBox.from_tlwh(11.0, 21.0, 30.5, 40.25), 0.85)]),
+            FrameResult(1, FrameBoxes.of([1], [BoundingBox.from_tlwh(10.123, 20.456, 30.5, 40.25)], [0.9])),
+            FrameResult(2, FrameBoxes.of([1], [BoundingBox.from_tlwh(11.0, 21.0, 30.5, 40.25)], [0.85])),
         ]
 
     def test_empty_results_give_empty_file(self, tmp_path):
@@ -262,7 +303,9 @@ class TestWriting:
             for f in range(1, 6)
         }
         write_detections(path, detections)
-        assert read_detections(path) == detections
+        read_back = read_detections(path)
+        assert list(read_back) == list(detections)
+        assert all(read_back[f].tolist() == detection_block(d).tolist() for f, d in detections.items())
 
 
 class TestConfigFiles:
@@ -273,20 +316,35 @@ class TestConfigFiles:
             "high_thresh = 0.7\n"
             "max_lost_frames = 12\n"
             "use_height_term = false\n"
-            "epsilon = 1e-6  # stabilizer\n"
+            "match_gate_stage2 = 0.4  # second pass\n"
         )
         values = load_config(path)
         assert values == {
             "high_thresh": 0.7,
             "max_lost_frames": 12,
             "use_height_term": False,
-            "epsilon": 1e-6,
+            "match_gate_stage2": 0.4,
         }
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "conf.cfg"
         path.write_text("frobnicate = 1\n")
         with pytest.raises(ParseError, match="frobnicate"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("use_unconfirmed_stage", "false"),
+            ("epsilon", "1e-7"),
+            ("std_weight_position", "0.05"),
+            ("std_weight_velocity", "0.00625"),
+        ],
+    )
+    def test_removed_key_rejected_with_line(self, tmp_path, key, value):
+        path = tmp_path / "conf.cfg"
+        path.write_text(f"high_thresh = 0.7\n{key} = {value}\n")
+        with pytest.raises(ParseError, match=rf"conf\.cfg:2: unknown config key '{key}'$"):
             load_config(path)
 
     def test_repeated_key_rejected_with_line(self, tmp_path):

@@ -11,6 +11,7 @@ compared too.
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -21,10 +22,13 @@ from sctrack.motio import FIELD_COUNT, ParseError
 from _oracles import iter_records_ref, read_ground_truth_ref, read_results_ref, scan_detections_ref
 
 # replacement texts per column: non-integral, huge, non-finite, non-numeric,
-# non-positive, out-of-range and extreme values
+# non-positive, out-of-range and extreme values; frame and id also get the
+# integers on either side of 2**53
+KEY_FAULTS = ["1.5", "-0.5", "1e20", "-1e20", "-0", "0", "-1", " 2 ", "2.0", "nan", "inf",
+              "9007199254740991", "9007199254740992", "-9007199254740993"]
 FAULTS = [
-    ["1.5", "-0.5", "1e20", "-1e20", "-0", "0", "-1", " 2 ", "2.0", "nan", "inf"],  # frame
-    ["1.5", "-0.5", "1e20", "-1e20", "-0", "0", "-1", " 2 ", "2.0", "nan", "inf"],  # id
+    KEY_FAULTS,  # frame
+    KEY_FAULTS,  # id
     ["nan", "inf", "-inf", "1e300", "-1e300", "abc"],  # bb_left
     ["nan", "inf", "-inf", "1e300", "-1e300", ""],  # bb_top
     ["0", "-0", "-5.00", "nan", "inf", "1e300", "1e-300", "1_0"],  # bb_width
@@ -82,6 +86,16 @@ def mot_files(draw):
     return body.encode("utf-8"), draw(st.sampled_from([1, 2, 3, 5, motio.CHUNK_LINES]))
 
 
+def plain(value):
+    """Arrays as their dtype and nested lists, inside tuples and lists, so
+    ``repr`` shows every bit."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [plain(item) for item in value]
+    return value
+
+
 def outcome(read, path):
     """A reader's output, or the type and text of the error it raised."""
     try:
@@ -90,8 +104,8 @@ def outcome(read, path):
         return type(exc), str(exc)
     if isinstance(result, tuple):
         by_frame, stats = result
-        return list(by_frame.items()), stats
-    return list(result.items())
+        return plain(list(by_frame.items())), stats
+    return plain(list(result.items()))
 
 
 def records(iterate, path):
@@ -129,6 +143,7 @@ CHECKED = [
     "1.5,1,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1",  # non-integral frame
     "1,nan,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1",  # NaN id
     "inf,1,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1",  # infinite frame
+    "1,9007199254740993,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1",  # id not exact in float64
     "2,0,10.00,20.00,30.00,40.00,0.9000,-1,-1,-1",  # ground-truth id
     "1,1,50.00,20.00,30.00,40.00,0.9000,-1,-1,-1",  # repeated (frame, id)
     "1,1,50.00,20.00,0.00,40.00,0.9000,-1,-1,-1",  # repeated, and zero width

@@ -16,7 +16,7 @@ from sctrack import motio
 from sctrack.frames import FrameBoxes, detection_block
 from sctrack.geometry import BoundingBox, Detection
 from sctrack.motio import MotRecord, format_record, write_detections, write_ground_truth, write_records, write_results
-from sctrack.tracker import FrameResult, TrackOutput
+from sctrack.tracker import FrameResult
 
 from _oracles import format_record_ref
 
@@ -80,7 +80,8 @@ frames = st.dictionaries(
 @given(by_frame=frames, chunk=chunks)
 def test_box_writers_match_per_object_lines(tmp_path, by_frame, chunk):
     order = sorted(by_frame)
-    results = [FrameResult(f, [TrackOutput(i, b, s) for i, b, s in by_frame[f]]) for f in reversed(order)]
+    columns = {f: list(zip(*rows)) or [(), (), ()] for f, rows in by_frame.items()}
+    results = [FrameResult(f, FrameBoxes.of(*columns[f])) for f in reversed(order)]
     detections = {f: [Detection(b, s) for _, b, s in by_frame[f]] for f in by_frame}
     gt = {f: [(i, b) for i, b, _ in by_frame[f]] for f in by_frame}
     expected_results = lines((f, i, *b.to_tlwh(), s) for f in order for i, b, s in by_frame[f])

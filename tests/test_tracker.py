@@ -315,12 +315,8 @@ NON_DEFAULT = {
     "match_gate_stage2": (TrackerConfig, 0.4),
     "match_gate_unconfirmed": (TrackerConfig, 0.6),
     "max_lost_frames": (TrackerConfig, 12),
-    "use_unconfirmed_stage": (TrackerConfig, False),
-    "epsilon": (ShapeIoUParams, 1e-5),
     "use_height_term": (ShapeIoUParams, False),
     "use_area_term": (ShapeIoUParams, False),
-    "std_weight_position": (NoiseConfig, 0.1),
-    "std_weight_velocity": (NoiseConfig, 0.02),
     "use_confidence_noise": (NoiseConfig, False),
     "use_velocity_blend": (NoiseConfig, False),
 }
@@ -332,10 +328,8 @@ class TestWithValues:
             ("high_thresh", float), ("low_thresh", float), ("new_track_thresh", float),
             ("match_gate_stage1", float), ("match_gate_stage2", float),
             ("match_gate_unconfirmed", float), ("max_lost_frames", int),
-            ("use_unconfirmed_stage", bool), ("epsilon", float), ("use_height_term", bool),
-            ("use_area_term", bool), ("std_weight_position", float),
-            ("std_weight_velocity", float), ("use_confidence_noise", bool),
-            ("use_velocity_blend", bool),
+            ("use_height_term", bool), ("use_area_term", bool),
+            ("use_confidence_noise", bool), ("use_velocity_blend", bool),
         ]
 
     @pytest.mark.parametrize("key", list(CONFIG_SCHEMA))
@@ -370,8 +364,8 @@ class TestWithValues:
         [
             ({"low_thresh": 0.6}, "low_thresh"),
             ({"low_thresh": 0.7, "high_thresh": 0.7}, "low_thresh"),
-            ({"epsilon": 0.0}, "epsilon"),
-            ({"std_weight_velocity": 0.0}, "noise weights"),
+            ({"new_track_thresh": 1.5}, "new_track_thresh"),
+            ({"match_gate_stage2": -0.1}, "match_gate_stage2"),
             ({"max_lost_frames": 0}, "max_lost_frames"),
         ],
     )

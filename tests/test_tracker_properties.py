@@ -2,6 +2,9 @@
 
 * track ids are unique within each frame, and an id is never given to a
   second track: once its track is gone it never appears again;
+* a frame's outputs are exactly the tracks matched in that frame, or on
+  the tracker's first frame the tracks born in it, each output carrying its
+  track's filtered box and a detection score of the frame;
 * ``run_sequence`` is deterministic, and gives the same results from
   ``(n, 5)`` blocks as from ``Detection`` lists;
 * the order of the detections within a frame does not change any metric.
@@ -16,7 +19,7 @@ from sctrack.ablation import COMPONENT_ARMS, arm_config, evaluate_run
 from sctrack.frames import detection_block
 from sctrack.geometry import BoundingBox, Detection
 from sctrack.synth import builtin_scenario, builtin_scenarios, generate
-from sctrack.tracker import SCTracker, TrackerConfig, run_sequence
+from sctrack.tracker import SCTracker, TrackerConfig, TrackStatus, run_sequence
 
 # boxes on a small canvas, so that tracks overlap, cross and compete
 detections = st.builds(
@@ -49,6 +52,32 @@ def test_ids_are_unique_per_frame_and_never_reused(stream):
         assert not gone & set(live), "a retired id is live again"
         assert not gone & set(ids), "a retired id is output again"
         assert set(ids) <= set(live)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=streams)
+def test_outputs_come_from_matched_or_first_frame_tracks(stream):
+    tracker = SCTracker()
+    before: set[int] = set()  # ids live after the previous step
+    frames = sorted(stream)
+    for frame in range(frames[0], frames[-1] + 1) if frames else ():
+        detections = stream.get(frame, [])
+        result = tracker.step(frame, detections)
+        live = {t.track_id: (row, t) for row, t in enumerate(tracker.tracks)}
+        if frame == frames[0]:
+            expected = set(live)  # every track is a birth of this frame
+        else:
+            # a track live before the step whose update count restarted was matched
+            expected = {i for i, (_, t) in live.items() if i in before and t.frames_since_update == 0}
+        ids = result.boxes.ids.tolist()
+        assert set(ids) == expected
+        scores = {d.score for d in detections}
+        for track_id, xyah, score in zip(ids, result.boxes.xyah.tolist(), result.boxes.scores.tolist()):
+            row, track = live[track_id]
+            assert track.status is TrackStatus.CONFIRMED
+            assert xyah == tracker.means[row, :4].tolist()
+            assert score in scores
+        before = set(live)
 
 
 @settings(max_examples=100, deadline=None)
