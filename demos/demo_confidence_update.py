@@ -11,7 +11,7 @@ its prior, so the track barely flinches.
 
 import numpy as np
 
-from sctrack import BoundingBox, Detection, NoiseConfig
+from sctrack import BoundingBox, Detection
 from sctrack import kalman
 
 TRUE_VELOCITY = 10.0
@@ -25,18 +25,18 @@ def make_detection(frame):
     return Detection(BoundingBox.from_tlwh(x, 200.0, 60.0, 120.0), 0.95)
 
 
-def run(config):
-    state = kalman.initiate(make_detection(0).box, config)
+def run(switches):
+    state = kalman.initiate(make_detection(0).box)
     history = []
     for frame in range(1, 20):
-        state = kalman.predict(state, config)
-        state = kalman.update(state, make_detection(frame), config)
+        state = kalman.predict(state)
+        state = kalman.update(state, make_detection(frame), **switches)
         history.append((frame, state.mean[0], state.mean[4]))
     return history
 
 
-plain = NoiseConfig(use_confidence_noise=False, use_velocity_blend=False)
-weighted = NoiseConfig()
+plain = dict(use_confidence_noise=False, use_velocity_blend=False)
+weighted = dict(use_confidence_noise=True, use_velocity_blend=True)
 
 print(f"{'frame':>5} {'true x':>8} | {'plain x':>8} {'plain vx':>9} | {'weighted x':>10} {'weighted vx':>11}")
 for (f, px, pv), (_, wx, wv) in zip(run(plain), run(weighted)):

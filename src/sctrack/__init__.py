@@ -13,12 +13,11 @@ from .frames import FrameBoxes
 from .geometry import (
     BoundingBox,
     Detection,
-    ShapeIoUParams,
     cost_matrix,
     iou,
     shape_iou_distance,
 )
-from .kalman import InvalidStateError, KalmanState, NoiseConfig
+from .kalman import InvalidStateError, KalmanState
 from .metrics import MetricsReport, evaluate
 from .synth import ObjectSpec, ScenarioSpec, builtin_scenario, builtin_scenarios, generate
 from .tracker import (
@@ -42,11 +41,9 @@ __all__ = [
     "InvalidStateError",
     "KalmanState",
     "MetricsReport",
-    "NoiseConfig",
     "ObjectSpec",
     "SCTracker",
     "ScenarioSpec",
-    "ShapeIoUParams",
     "Track",
     "TrackOutput",
     "TrackStatus",

@@ -9,7 +9,7 @@ configuration alone.  Two arm families are provided: the component arms
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import metrics, synth, tracker
 from .metrics import MetricsReport
@@ -49,7 +49,8 @@ ARM_FAMILIES = {"components": COMPONENT_ARMS, "shape-terms": SHAPE_TERM_ARMS}
 
 def arm_config(base: TrackerConfig, arm: AblationArm) -> TrackerConfig:
     """Apply an arm's switches to a base tracker configuration."""
-    return base.with_values(
+    return replace(
+        base,
         use_height_term=arm.use_height_term,
         use_area_term=arm.use_area_term,
         use_confidence_noise=arm.use_confidence,

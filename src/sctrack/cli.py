@@ -148,7 +148,7 @@ def _tracker_config(args) -> TrackerConfig:
     if getattr(args, "no_conf", False):
         flags.update(use_confidence_noise=False, use_velocity_blend=False)
     try:
-        return TrackerConfig().with_values(**{**values, **flags})
+        return TrackerConfig(**{**values, **flags})
     except ValueError as exc:
         named = [
             lines[key] for key in values

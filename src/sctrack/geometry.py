@@ -81,17 +81,6 @@ class Detection:
             raise ValueError(f"detection score must lie in [0, 1], got {self.score!r}")
 
 
-@dataclass(frozen=True)
-class ShapeIoUParams:
-    """Switches for the two shape terms of the shape-aware IoU distance.
-
-    With both off the distance reduces exactly to ``1 - IoU``.
-    """
-
-    use_height_term: bool = True
-    use_area_term: bool = True
-
-
 def boxes_to_corners(boxes) -> np.ndarray:
     """Stack boxes into an ``(N, 4)`` float64 corner array."""
     if not boxes:
@@ -143,24 +132,27 @@ def pairwise_iou(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
 def pairwise_shape_iou_distance(
     corners_a: np.ndarray,
     corners_b: np.ndarray,
-    params: ShapeIoUParams = ShapeIoUParams(),
+    *,
+    use_height_term: bool = True,
+    use_area_term: bool = True,
 ) -> np.ndarray:
     """Pairwise shape-aware IoU distance, shape ``(M, N)``.
 
     Each entry is ``1 - IoU`` plus, when enabled, the squared height and area
     differences of the pair normalized by the height / area of their minimum
-    enclosing rectangle (stabilized by :data:`DEFAULT_EPSILON`).
+    enclosing rectangle (stabilized by :data:`DEFAULT_EPSILON`).  With both
+    terms off the distance reduces exactly to ``1 - IoU``.
     """
     m, n = len(corners_a), len(corners_b)
     if m == 0 or n == 0:
         return np.zeros((m, n), dtype=np.float64)
     overlap, a, b, h_a, h_b, area_a, area_b = _pairwise_overlap(corners_a, corners_b)
     dist = 1.0 - overlap
-    if params.use_height_term or params.use_area_term:
+    if use_height_term or use_area_term:
         enclosing_h = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
-        if params.use_height_term:
+        if use_height_term:
             dist = dist + (h_a - h_b) ** 2 / (enclosing_h + DEFAULT_EPSILON) ** 2
-        if params.use_area_term:
+        if use_area_term:
             enclosing_w = np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])
             enclosing_area = enclosing_w * enclosing_h
             dist = dist + (area_a - area_b) ** 2 / (enclosing_area + DEFAULT_EPSILON) ** 2
@@ -173,17 +165,18 @@ def iou(b1: BoundingBox, b2: BoundingBox) -> float:
 
 
 def shape_iou_distance(
-    b1: BoundingBox,
-    b2: BoundingBox,
-    params: ShapeIoUParams = ShapeIoUParams(),
+    b1: BoundingBox, b2: BoundingBox, *, use_height_term: bool = True, use_area_term: bool = True
 ) -> float:
     """Shape-aware IoU distance between two boxes, in [0, 3]."""
     return float(
-        pairwise_shape_iou_distance(boxes_to_corners([b1]), boxes_to_corners([b2]), params)[0, 0]
+        pairwise_shape_iou_distance(
+            boxes_to_corners([b1]), boxes_to_corners([b2]),
+            use_height_term=use_height_term, use_area_term=use_area_term,
+        )[0, 0]
     )
 
 
-def cost_matrix(tracks, detections, params: ShapeIoUParams = ShapeIoUParams()) -> np.ndarray:
+def cost_matrix(tracks, detections, *, use_height_term: bool = True, use_area_term: bool = True) -> np.ndarray:
     """Pairwise distance matrix between track boxes (rows) and detection boxes (cols).
 
     Either list may be empty; the result always has shape
@@ -191,5 +184,6 @@ def cost_matrix(tracks, detections, params: ShapeIoUParams = ShapeIoUParams()) -
     :func:`shape_iou_distance` evaluated pairwise.
     """
     return pairwise_shape_iou_distance(
-        boxes_to_corners(list(tracks)), boxes_to_corners(list(detections)), params
+        boxes_to_corners(list(tracks)), boxes_to_corners(list(detections)),
+        use_height_term=use_height_term, use_area_term=use_area_term,
     )

@@ -57,14 +57,6 @@ class InvalidStateError(ValueError):
 
 
 @dataclass(frozen=True)
-class NoiseConfig:
-    """Confidence-mechanism switches for the filter."""
-
-    use_confidence_noise: bool = True
-    use_velocity_blend: bool = True
-
-
-@dataclass(frozen=True)
 class KalmanState:
     """Filter snapshot: 8-vector mean and 8x8 covariance.
 
@@ -106,7 +98,7 @@ def _symmetrized(matrices: np.ndarray) -> np.ndarray:
     return 0.5 * (matrices + matrices.transpose(0, 2, 1))
 
 
-def batch_initiate(measurements: np.ndarray, config: NoiseConfig = NoiseConfig()):
+def batch_initiate(measurements: np.ndarray):
     """Start one state per ``[x, y, a, h]`` row, all with zero velocity.
 
     Returns ``(mean, covariance)`` of shapes ``(N, 8)`` and ``(N, 8, 8)``.
@@ -120,7 +112,7 @@ def batch_initiate(measurements: np.ndarray, config: NoiseConfig = NoiseConfig()
     return mean, covariance
 
 
-def batch_predict(mean: np.ndarray, covariance: np.ndarray, config: NoiseConfig = NoiseConfig()):
+def batch_predict(mean: np.ndarray, covariance: np.ndarray):
     """Advance every row by one frame under the constant-velocity model.
 
     Process noise scales with each row's height before the step.  The inputs
@@ -133,29 +125,28 @@ def batch_predict(mean: np.ndarray, covariance: np.ndarray, config: NoiseConfig 
     return new_mean, _symmetrized(new_covariance)
 
 
-def _measurement_variances(h: np.ndarray, scores: np.ndarray, config: NoiseConfig) -> np.ndarray:
+def _measurement_variances(h: np.ndarray, scores: np.ndarray, use_confidence_noise: bool) -> np.ndarray:
     """Diagonal measurement variances ``(N, 4)``, confidence-scaled when enabled."""
     variances = _variances("measure", h)
-    if config.use_confidence_noise:
+    if use_confidence_noise:
         variances = variances * (1.0 - scores**2)[:, None]
     return variances
 
 
 def batch_update(
-    mean: np.ndarray,
-    covariance: np.ndarray,
-    measurements: np.ndarray,
-    scores: np.ndarray,
-    config: NoiseConfig = NoiseConfig(),
+    mean: np.ndarray, covariance: np.ndarray, measurements: np.ndarray, scores: np.ndarray,
+    *, use_confidence_noise: bool = True, use_velocity_blend: bool = True,
 ):
     """Fold row ``i`` of ``measurements`` (``[x, y, a, h]``) at ``scores[i]`` into row ``i``.
 
-    One stacked 4x4 solve gives every gain; the posterior covariance uses the
-    Joseph form, which keeps it symmetric PSD even when the confidence-scaled
-    noise degenerates to zero at score 1.  The inputs are left untouched.
+    The switches turn the two confidence mechanisms of the module docstring
+    on or off.  One stacked 4x4 solve gives every gain; the posterior
+    covariance uses the Joseph form, which keeps it symmetric PSD even when
+    the confidence-scaled noise degenerates to zero at score 1.  The inputs
+    are left untouched.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    noise = _measurement_variances(mean[:, 3], scores, config)
+    noise = _measurement_variances(mean[:, 3], scores, use_confidence_noise)
 
     projected = covariance[:, :MEASUREMENT_DIM, :MEASUREMENT_DIM].copy()
     _add_diagonal(projected, noise)
@@ -169,7 +160,7 @@ def batch_update(
         gain * noise[:, None, :]
     ) @ gain.transpose(0, 2, 1)
 
-    if config.use_velocity_blend:
+    if use_velocity_blend:
         weight = scores[:, None]
         new_mean[:, MEASUREMENT_DIM:] = (
             weight * new_mean[:, MEASUREMENT_DIM:] + (1.0 - weight) * mean[:, MEASUREMENT_DIM:]
@@ -195,29 +186,31 @@ def _box_row(box: BoundingBox) -> np.ndarray:
     return np.array([[box.x, box.y, box.a, box.h]])
 
 
-def initiate(measurement: BoundingBox, config: NoiseConfig = NoiseConfig()) -> KalmanState:
+def initiate(measurement: BoundingBox) -> KalmanState:
     """Start a new state from an observed box with zero initial velocity."""
-    mean, covariance = batch_initiate(_box_row(measurement), config)
+    mean, covariance = batch_initiate(_box_row(measurement))
     return KalmanState(mean=mean[0], covariance=covariance[0])
 
 
-def predict(state: KalmanState, config: NoiseConfig = NoiseConfig()) -> KalmanState:
+def predict(state: KalmanState) -> KalmanState:
     """Advance the state by one frame under the constant-velocity model."""
-    mean, covariance = batch_predict(state.mean[None], state.covariance[None], config)
+    mean, covariance = batch_predict(state.mean[None], state.covariance[None])
     return KalmanState(mean=mean[0], covariance=covariance[0])
 
 
-def measurement_noise(state: KalmanState, score: float, config: NoiseConfig) -> np.ndarray:
+def measurement_noise(state: KalmanState, score: float, *, use_confidence_noise: bool = True) -> np.ndarray:
     """Measurement covariance for the update, confidence-scaled when enabled."""
-    return np.diag(_measurement_variances(state.mean[None, 3], np.array([score]), config)[0])
+    return np.diag(_measurement_variances(state.mean[None, 3], np.array([score]), use_confidence_noise)[0])
 
 
 def update(
-    state: KalmanState, detection: Detection, config: NoiseConfig = NoiseConfig()
+    state: KalmanState, detection: Detection,
+    *, use_confidence_noise: bool = True, use_velocity_blend: bool = True,
 ) -> KalmanState:
     """Fold one detection (its score lies in [0, 1]) into a predicted state."""
     mean, covariance = batch_update(
-        state.mean[None], state.covariance[None], _box_row(detection.box), [detection.score], config
+        state.mean[None], state.covariance[None], _box_row(detection.box), [detection.score],
+        use_confidence_noise=use_confidence_noise, use_velocity_blend=use_velocity_blend,
     )
     return KalmanState(mean=mean[0], covariance=covariance[0])
 

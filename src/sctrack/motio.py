@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .frames import FrameBoxes, detection_block, frame_boxes, repeated, split
-from .geometry import BoundingBox
+from .geometry import BoundingBox, xyah_to_corners
 
 logger = logging.getLogger(__name__)
 
@@ -188,9 +188,14 @@ def _finite(block: np.ndarray) -> np.ndarray:
     return np.isfinite(block[:, 2:7]).all(axis=1)
 
 
-def _usable(block: np.ndarray) -> np.ndarray:
-    """Rows whose box and confidence fields are finite and whose box has positive size."""
-    return _finite(block) & (block[:, 4] > 0) & (block[:, 5] > 0)
+def _usable(block: np.ndarray, xyah: np.ndarray) -> np.ndarray:
+    """Rows whose box and confidence fields are finite, whose box has positive
+    size, and whose corner form (:func:`~sctrack.geometry.xyah_to_corners`)
+    has positive area, so the overlap of the box with any other is defined."""
+    with np.errstate(all="ignore"):
+        x1, y1, x2, y2 = xyah_to_corners(xyah).T
+        area = (x2 - x1) * (y2 - y1)
+    return _finite(block) & (block[:, 4] > 0) & (block[:, 5] > 0) & (area > 0)
 
 
 def _xyah(block: np.ndarray) -> np.ndarray:
@@ -236,14 +241,14 @@ def _by_frame(frames: np.ndarray, *columns) -> dict:
 def scan_detections(path) -> tuple[dict[int, np.ndarray], ParseStats]:
     """Read a detection file as frame -> ``(n, 5)`` block ``[x, y, a, h, score]``.
 
-    Rows with non-positive box sizes or non-finite values (or a frame below
-    1) are rejected and counted; confidences outside [0, 1] are clamped and
-    counted.  The id column is ignored.  Frames are returned in ascending
-    order, rows in file order.
+    Rows with non-positive box sizes or corner-form areas, non-finite values
+    or a frame below 1 are rejected and counted; confidences outside [0, 1]
+    are clamped and counted.  The id column is ignored.  Frames are returned
+    in ascending order, rows in file order.
     """
     block, line_nos, error = _read_block(path)
-    keep = _usable(block) & (block[:, 0] >= 1)
     xyah = _xyah(block)
+    keep = _usable(block, xyah) & (block[:, 0] >= 1)
     _raise_first(path, line_nos, [(keep & _unformed(xyah), None)], xyah, error)
     conf = block[keep, 6]
     low, high = conf < 0.0, conf > 1.0
@@ -275,7 +280,7 @@ def read_ground_truth_blocks(path) -> dict[int, FrameBoxes]:
     block, line_nos, error = _read_block(path)
     frames, ids = block[:, 0], block[:, 1].astype(np.int64)
     xyah = _xyah(block)
-    geometry_ok = _usable(block) & (frames >= 1)
+    geometry_ok = _usable(block, xyah) & (frames >= 1)
     _raise_first(
         path,
         line_nos,
@@ -308,14 +313,14 @@ def read_ground_truth(path) -> dict[int, list[GroundTruthEntry]]:
 def read_results(path) -> dict[int, FrameBoxes]:
     """Read a tracker result file as frame -> :class:`FrameBoxes`.
 
-    Rows with a non-positive width or height are skipped; a row with a
-    non-finite field, or one that repeats an id within its frame, raises
-    ParseError.  Frames are returned in ascending order.
+    Rows with a non-positive width, height or corner-form area are skipped;
+    a row with a non-finite field, or one that repeats an id within its
+    frame, raises ParseError.  Frames are returned in ascending order.
     """
     block, line_nos, error = _read_block(path)
     frames, ids = block[:, 0], block[:, 1].astype(np.int64)
     xyah = _xyah(block)
-    kept = _usable(block)
+    kept = _usable(block, xyah)
     repeats = np.zeros(len(block), bool)
     repeats[kept] = repeated(frames[kept], ids[kept])
     _raise_first(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -86,20 +86,13 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
-        objects = tuple(
-            ObjectSpec(tlwh=tuple(o["tlwh"]), velocity=tuple(o.get("velocity", (0.0, 0.0))))
-            for o in data["objects"]
-        )
-        return cls(
-            name=data["name"],
-            frames=int(data["frames"]),
-            objects=objects,
-            noise_std_px=float(data.get("noise_std_px", 0.0)),
-            dropout_prob=float(data.get("dropout_prob", 0.0)),
-            false_positive_rate=float(data.get("false_positive_rate", 0.0)),
-            confidence_model=data.get("confidence_model", "clean"),
-            rng_seed=int(data.get("rng_seed", 0)),
-        )
+        """Inverse of :meth:`to_dict`.  An absent field takes its default; a
+        key that names no field raises ValueError."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown scenario key {unknown[0]!r}")
+        objects = tuple(ObjectSpec(**{k: tuple(v) for k, v in o.items()}) for o in data["objects"])
+        return cls(**{**data, "objects": objects})
 
 
 def _clip_corners(x1, y1, x2, y2):

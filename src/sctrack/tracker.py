@@ -25,14 +25,13 @@ A tracker instance must be stepped sequentially; independent instances
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import assignment, geometry, kalman
 from .frames import NO_BOXES, FrameBoxes, detection_block
-from .geometry import BoundingBox, ShapeIoUParams
-from .kalman import NoiseConfig
+from .geometry import BoundingBox
 
 
 class TrackStatus(enum.Enum):
@@ -57,11 +56,17 @@ class Track:
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Thresholds, gates and sub-module configuration for the tracker.
+    """Thresholds, gates and the switches of the two mechanisms.
 
     The defaults follow the usual two-stage association conventions; the
     stage gates are expressed on the shape-aware distance, whose range
-    extends beyond [0, 1] when the shape terms are enabled.
+    extends beyond [0, 1] when the shape terms are enabled.  The last four
+    fields switch the shape terms of the distance and the confidence
+    mechanisms of the filter update.
+
+    The constructor checks each field's type (an int is accepted for a
+    float, and a bool only for a bool), then the ranges; both raise
+    ValueError naming the field.
     """
 
     high_thresh: float = 0.6
@@ -71,10 +76,17 @@ class TrackerConfig:
     match_gate_stage2: float = 0.5
     match_gate_unconfirmed: float = 0.7
     max_lost_frames: int = 30
-    shape_params: ShapeIoUParams = ShapeIoUParams()
-    noise_config: NoiseConfig = NoiseConfig()
+    use_height_term: bool = True
+    use_area_term: bool = True
+    use_confidence_noise: bool = True
+    use_velocity_blend: bool = True
 
     def __post_init__(self):
+        for key, kind in CONFIG_SCHEMA.items():
+            value = getattr(self, key)
+            accepted = (int, float) if kind is float else kind
+            if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+                raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
         if not (0.0 <= self.low_thresh < self.high_thresh <= 1.0):
             raise ValueError(
                 f"need 0 <= low_thresh < high_thresh <= 1, got "
@@ -88,37 +100,9 @@ class TrackerConfig:
         if self.max_lost_frames < 1:
             raise ValueError(f"max_lost_frames must be >= 1, got {self.max_lost_frames}")
 
-    def with_values(self, **values) -> TrackerConfig:
-        """A copy with each flat :data:`CONFIG_SCHEMA` key set on the dataclass
-        that declares it.  A key outside the schema, or a value not of the
-        key's type, raises ValueError; an int is accepted for a float key,
-        and a bool counts only as a bool."""
-        for key, value in values.items():
-            if key not in CONFIG_SCHEMA:
-                raise ValueError(f"unknown config key {key!r}")
-            kind = CONFIG_SCHEMA[key]
-            accepted = (int, float) if kind is float else kind
-            if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
-                raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
 
-        def own(obj) -> dict:
-            return {f.name: values[f.name] for f in fields(obj) if f.name in values}
-
-        return replace(
-            self,
-            shape_params=replace(self.shape_params, **own(self.shape_params)),
-            noise_config=replace(self.noise_config, **own(self.noise_config)),
-            **own(self),
-        )
-
-
-# every scalar field of the tracker configuration, typed by its default
-CONFIG_SCHEMA = {
-    f.name: type(f.default)
-    for cls in (TrackerConfig, ShapeIoUParams, NoiseConfig)
-    for f in fields(cls)
-    if not is_dataclass(f.default)
-}
+# every field of the tracker configuration, typed by its default
+CONFIG_SCHEMA = {f.name: type(f.default) for f in fields(TrackerConfig)}
 
 
 @dataclass(frozen=True)
@@ -202,11 +186,10 @@ class SCTracker:
         first_frame = self._last_frame is None
         self._last_frame = frame_index
         cfg = self.config
-        noise = cfg.noise_config
 
         # advance every live track; before association, retire tracks that
         # have exhausted the lost budget and drop tracks whose state degenerated
-        self.means, self.covariances = kalman.batch_predict(self.means, self.covariances, noise)
+        self.means, self.covariances = kalman.batch_predict(self.means, self.covariances)
         corners, valid = kalman.batch_project(self.means)
         for track, ok in zip(self.tracks, valid.tolist()):
             if not ok or (
@@ -231,7 +214,8 @@ class SCTracker:
                 return [], rows, cols
             result = assignment.solve(
                 geometry.pairwise_shape_iou_distance(
-                    corners.take(rows, 0), det_corners.take(cols, 0), cfg.shape_params
+                    corners.take(rows, 0), det_corners.take(cols, 0),
+                    use_height_term=cfg.use_height_term, use_area_term=cfg.use_area_term,
                 ),
                 gate,
             )
@@ -264,7 +248,8 @@ class SCTracker:
             matched_scores = table[:, 4].take(cols)
             means, covariances = kalman.batch_update(
                 self.means.take(rows, 0), self.covariances.take(rows, 0),
-                measured.take(cols, 0), matched_scores, noise,
+                measured.take(cols, 0), matched_scores,
+                use_confidence_noise=cfg.use_confidence_noise, use_velocity_blend=cfg.use_velocity_blend,
             )
             self.means[rows], self.covariances[rows] = means, covariances
             valid = kalman.valid_rows(means).tolist()
@@ -295,7 +280,7 @@ class SCTracker:
         born = [j for j in high_left if scores[j] >= cfg.new_track_thresh]
         if born:
             born_xyah = measured.take(born, 0)
-            means, covariances = kalman.batch_initiate(born_xyah, noise)
+            means, covariances = kalman.batch_initiate(born_xyah)
             self.means = np.concatenate([self.means, means])
             self.covariances = np.concatenate([self.covariances, covariances])
             status = TrackStatus.CONFIRMED if first_frame else TrackStatus.TENTATIVE

@@ -268,6 +268,17 @@ def _finite_box_fields_ref(record):
     )
 
 
+def _sized_ref(record):
+    """Positive width and height, and positive area once converted to corner
+    form the way the library converts: ``a = w / h``, ``x2 = x + a * h``,
+    ``y2 = y + h``."""
+    if record.bb_width <= 0 or record.bb_height <= 0:
+        return False
+    x2 = record.bb_left + record.bb_width / record.bb_height * record.bb_height
+    y2 = record.bb_top + record.bb_height
+    return (x2 - record.bb_left) * (y2 - record.bb_top) > 0
+
+
 def _box_ref(record):
     return BoundingBox.from_tlwh(record.bb_left, record.bb_top, record.bb_width, record.bb_height)
 
@@ -276,7 +287,7 @@ def scan_detections_ref(path):
     by_frame = {}
     stats = ParseStats()
     for _, record in iter_records_ref(path):
-        if not _finite_box_fields_ref(record) or record.bb_width <= 0 or record.bb_height <= 0 or record.frame < 1:
+        if not _finite_box_fields_ref(record) or not _sized_ref(record) or record.frame < 1:
             stats.rejected_rows += 1
             continue
         conf = record.conf
@@ -301,7 +312,7 @@ def read_ground_truth_ref(path):
         if key in seen:
             raise ParseError(path, line_no, f"duplicate (frame, id) pair {key}")
         seen.add(key)
-        if not _finite_box_fields_ref(record) or record.bb_width <= 0 or record.bb_height <= 0 or record.frame < 1:
+        if not _finite_box_fields_ref(record) or not _sized_ref(record) or record.frame < 1:
             raise ParseError(path, line_no, "ground-truth row has invalid frame or box geometry")
         by_frame.setdefault(record.frame, []).append(
             GroundTruthEntry(track_id=record.track_id, box=_box_ref(record), evaluable=record.conf != 0)
@@ -315,7 +326,7 @@ def read_results_ref(path):
     for line_no, record in iter_records_ref(path):
         if not _finite_box_fields_ref(record):
             raise ParseError(path, line_no, "result row has a non-finite box or confidence field")
-        if record.bb_width <= 0 or record.bb_height <= 0:
+        if not _sized_ref(record):
             continue
         key = (record.frame, record.track_id)
         if key in seen:

@@ -10,8 +10,7 @@ from sctrack.ablation import (
     results_to_map,
     run_ablation,
 )
-from sctrack.geometry import ShapeIoUParams
-from sctrack.kalman import NoiseConfig
+from sctrack.geometry import shape_iou_distance
 from sctrack.synth import builtin_scenario, generate
 from sctrack.tracker import TrackerConfig, run_sequence
 
@@ -26,12 +25,12 @@ class TestArms:
     def test_arm_config_applies_switches(self):
         base = TrackerConfig()
         cfg = arm_config(base, COMPONENT_ARMS[0])
-        assert not cfg.shape_params.use_height_term
-        assert not cfg.shape_params.use_area_term
-        assert not cfg.noise_config.use_confidence_noise
-        assert not cfg.noise_config.use_velocity_blend
+        assert not cfg.use_height_term
+        assert not cfg.use_area_term
+        assert not cfg.use_confidence_noise
+        assert not cfg.use_velocity_blend
         full = arm_config(base, COMPONENT_ARMS[3])
-        assert full.shape_params.use_height_term and full.noise_config.use_velocity_blend
+        assert full.use_height_term and full.use_velocity_blend
 
     @pytest.mark.parametrize(
         "family, label, height, area, conf",
@@ -52,24 +51,41 @@ class TestArms:
         assert arm_config(base, arm) == TrackerConfig(
             high_thresh=0.7,
             max_lost_frames=12,
-            shape_params=ShapeIoUParams(use_height_term=height, use_area_term=area),
-            noise_config=NoiseConfig(use_confidence_noise=conf, use_velocity_blend=conf),
+            use_height_term=height,
+            use_area_term=area,
+            use_confidence_noise=conf,
+            use_velocity_blend=conf,
         )
 
     def test_baseline_reduces_to_plain_iou_association(self):
         # the baseline arm's distance is exactly 1 - IoU and the update is a
         # plain Kalman update; its run must match a manually built config
-        from sctrack.geometry import ShapeIoUParams
-        from sctrack.kalman import NoiseConfig
-
         manual = TrackerConfig(
-            shape_params=ShapeIoUParams(use_height_term=False, use_area_term=False),
-            noise_config=NoiseConfig(use_confidence_noise=False, use_velocity_blend=False),
+            use_height_term=False, use_area_term=False, use_confidence_noise=False, use_velocity_blend=False
         )
         gt, dets = generate(builtin_scenario("crossing_same_shape"))
         via_arm = run_sequence(dets, arm_config(TrackerConfig(), COMPONENT_ARMS[0]))
         via_manual = run_sequence(dets, manual)
         assert via_arm == via_manual
+
+
+class TestShapeMechanism:
+    def test_shape_terms_keep_the_crossing_pair_outside_the_stage_one_gate(self):
+        # the two objects of crossing_distinct_shape swap a 120x60 and a 60x120
+        # box; plain 1 - IoU between them falls inside the stage-1 gate on
+        # exactly frames 37-42, and the shape terms push every one back out
+        gt, _ = generate(builtin_scenario("crossing_distinct_shape"))
+        gate = TrackerConfig().match_gate_stage1
+        plain, full = {}, {}
+        for frame, rows in gt.items():
+            boxes = dict(rows)
+            plain[frame] = shape_iou_distance(boxes[1], boxes[2], use_height_term=False, use_area_term=False)
+            full[frame] = shape_iou_distance(boxes[1], boxes[2])
+        inside = [frame for frame in sorted(gt) if plain[frame] <= gate]
+        assert inside == list(range(37, 43))
+        assert all(full[frame] > gate for frame in inside)
+        # at full overlap IoU is 1/3 and the height term adds (60/120)**2
+        assert min(full[frame] for frame in inside) == pytest.approx(1 - 1 / 3 + 0.25)
 
 
 class TestRunAblation:

@@ -15,11 +15,10 @@ from sctrack.assignment import solve
 from sctrack.geometry import (
     BoundingBox,
     Detection,
-    ShapeIoUParams,
     iou,
     shape_iou_distance,
 )
-from sctrack.kalman import NoiseConfig, initiate, measurement_noise, predict, project, update
+from sctrack.kalman import initiate, measurement_noise, predict, project, update
 from sctrack.metrics import evaluate
 from sctrack.motio import MotRecord, ParseError, iter_records, read_detections, write_records
 from sctrack.synth import builtin_scenario, generate
@@ -44,20 +43,18 @@ def random_box(rng):
 
 def test_criterion_01_geometry_against_direct_evaluation():
     rng = np.random.default_rng(101)
-    params = ShapeIoUParams()
-    plain = ShapeIoUParams(use_height_term=False, use_area_term=False)
     start = time.perf_counter()
     for _ in range(10_000):
         b1, b2 = random_box(rng), random_box(rng)
-        d = shape_iou_distance(b1, b2, params)
+        d = shape_iou_distance(b1, b2)
         expected = shape_distance_ref(b1.to_tlwh(), b2.to_tlwh())
         assert abs(d - expected) <= 1e-12
-        assert abs(d - shape_iou_distance(b2, b1, params)) <= 1e-12
+        assert abs(d - shape_iou_distance(b2, b1)) <= 1e-12
         assert 0.0 <= d <= 3.0
-        assert shape_iou_distance(b1, b2, plain) == 1.0 - iou(b1, b2)
+        assert shape_iou_distance(b1, b2, use_height_term=False, use_area_term=False) == 1.0 - iou(b1, b2)
     for _ in range(100):
         b = random_box(rng)
-        assert shape_iou_distance(b, b, params) == 0.0
+        assert shape_iou_distance(b, b) == 0.0
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(f"PASS criterion 1: 10,000 random pairs match the direct evaluation to 1e-12 in {elapsed:.2f}s")
@@ -98,33 +95,31 @@ def test_criterion_03_assignment_matches_exhaustive_optimum():
 
 
 def test_criterion_04_confidence_update_boundary_identities():
-    config = NoiseConfig()
-    state = predict(initiate(BoundingBox.from_tlwh(100, 100, 50, 120), config), config)
+    state = predict(initiate(BoundingBox.from_tlwh(100, 100, 50, 120)))
     meas = BoundingBox.from_tlwh(104, 101, 52, 118)
 
-    plain_noise = measurement_noise(state, 0.0, NoiseConfig(use_confidence_noise=False))
-    assert np.array_equal(measurement_noise(state, 0.0, config), plain_noise)
-    at_zero = update(state, Detection(meas, 0.0), config)
+    plain_noise = measurement_noise(state, 0.0, use_confidence_noise=False)
+    assert np.array_equal(measurement_noise(state, 0.0), plain_noise)
+    at_zero = update(state, Detection(meas, 0.0))
     assert np.array_equal(at_zero.mean[4:], state.mean[4:])
 
-    assert np.array_equal(measurement_noise(state, 1.0, config), np.zeros((4, 4)))
-    at_one = update(state, Detection(meas, 1.0), config)
-    standard = update(state, Detection(meas, 1.0), NoiseConfig(use_velocity_blend=False))
+    assert np.array_equal(measurement_noise(state, 1.0), np.zeros((4, 4)))
+    at_one = update(state, Detection(meas, 1.0))
+    standard = update(state, Detection(meas, 1.0), use_velocity_blend=False)
     assert np.array_equal(at_one.mean, standard.mean)
 
-    at_half = update(state, Detection(meas, 0.5), config)
-    unblended = update(state, Detection(meas, 0.5), NoiseConfig(use_velocity_blend=False))
+    at_half = update(state, Detection(meas, 0.5))
+    unblended = update(state, Detection(meas, 0.5), use_velocity_blend=False)
     midpoint = 0.5 * unblended.mean[4:] + 0.5 * state.mean[4:]
     assert np.array_equal(at_half.mean[4:], midpoint)
     report("PASS criterion 4: score 0 / 0.5 / 1 noise and velocity identities hold exactly")
 
 
 def test_criterion_05_constant_velocity_convergence():
-    config = NoiseConfig()
-    state = initiate(BoundingBox.from_tlwh(0, 0, 50, 100), config)
+    state = initiate(BoundingBox.from_tlwh(0, 0, 50, 100))
     for k in range(1, 11):
-        state = predict(state, config)
-        state = update(state, Detection(BoundingBox.from_tlwh(5.0 * k, 3.0 * k, 50, 100), 1.0), config)
+        state = predict(state)
+        state = update(state, Detection(BoundingBox.from_tlwh(5.0 * k, 3.0 * k, 50, 100), 1.0))
     box = project(state)
     err = max(abs(box.x - 50.0), abs(box.y - 30.0))
     assert err < 1e-6

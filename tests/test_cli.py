@@ -1,12 +1,11 @@
 import os
+import warnings
 
 import pytest
 
 from sctrack.ablation import COMPONENT_ARMS, arm_config
 from sctrack import tracker
 from sctrack.cli import _tracker_config, build_parser, load_config, main
-from sctrack.geometry import ShapeIoUParams
-from sctrack.kalman import NoiseConfig
 from sctrack.metrics import MetricsReport
 from sctrack.motio import read_detections, read_ground_truth, read_results
 from sctrack.synth import builtin_scenario, save_scenario
@@ -18,6 +17,10 @@ def scenario_dir(tmp_path):
     return save_scenario(builtin_scenario("crossing_distinct_shape"), tmp_path / "scn")
 
 
+# positive width and height, but at x = 10 the corner form has x + w == x
+ZERO_AREA_BOX = "10,10,1e-30,1e-30,1.0,-1,-1,-1"
+
+
 class TestTrack:
     def test_writes_parseable_results_with_ascending_frames(self, tmp_path, scenario_dir, capsys):
         out = tmp_path / "res.txt"
@@ -26,6 +29,15 @@ class TestTrack:
         assert frames == sorted(frames) and frames
         printed = capsys.readouterr().out
         assert "median" in printed and "ms" in printed
+
+    def test_zero_area_detections_are_rejected(self, tmp_path, capsys):
+        det = tmp_path / "det.txt"
+        det.write_text(f"1,-1,{ZERO_AREA_BOX}\n2,-1,{ZERO_AREA_BOX}\n")
+        out = tmp_path / "res.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["track", "--detections", str(det), "--output", str(out)]) == 0
+        assert out.read_text() == ""
 
     def test_missing_detections_file_fails_with_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.txt"
@@ -111,9 +123,8 @@ class TestTrack:
         assert _tracker_config(args) == TrackerConfig(
             high_thresh=0.65, low_thresh=0.2, new_track_thresh=0.75,
             match_gate_stage1=0.8, match_gate_stage2=0.4, match_gate_unconfirmed=0.6,
-            max_lost_frames=12,
-            shape_params=ShapeIoUParams(use_height_term=False, use_area_term=True),
-            noise_config=NoiseConfig(use_confidence_noise=False, use_velocity_blend=True),
+            max_lost_frames=12, use_height_term=False, use_area_term=True,
+            use_confidence_noise=False, use_velocity_blend=True,
         )
 
     def test_rejected_file_value_names_file_and_line(self, tmp_path, scenario_dir, capsys, monkeypatch):
@@ -240,6 +251,24 @@ class TestEval:
         assert captured.err == (
             f"error: {res}:1: frame and id must lie below 2**53 in magnitude, got '{first}', '9007199254740992'\n"
         )
+
+    def test_zero_area_ground_truth_is_an_error(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text(f"1,1,{ZERO_AREA_BOX}\n2,1,{ZERO_AREA_BOX}\n")
+        assert main(["eval", "--gt", str(gt), "--res", str(gt)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {gt}:1: ground-truth row has invalid frame or box geometry\n"
+
+    def test_zero_area_result_is_skipped(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,0,0,50,100,1,-1,-1,-1\n")
+        res = tmp_path / "res.txt"
+        res.write_text(f"1,1,0,0,50,100,1,-1,-1,-1\n1,2,{ZERO_AREA_BOX}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--gt", str(gt), "--res", str(res)]) == 0
+        assert "MOTA      100.00%" in capsys.readouterr().out
 
     @pytest.mark.parametrize("thresh", ["nan", "-0.2", "0", "1.5"])
     def test_out_of_range_iou_thresh_is_an_error(self, scenario_dir, capsys, thresh):

@@ -4,7 +4,6 @@ import pytest
 from sctrack.geometry import (
     BoundingBox,
     Detection,
-    ShapeIoUParams,
     boxes_to_corners,
     cost_matrix,
     iou,
@@ -14,7 +13,7 @@ from sctrack.geometry import (
 
 from _oracles import shape_distance_ref
 
-PLAIN = ShapeIoUParams(use_height_term=False, use_area_term=False)
+PLAIN = dict(use_height_term=False, use_area_term=False)
 
 
 def random_box(rng, max_coord=500.0):
@@ -148,7 +147,7 @@ class TestShapeIoUDistance:
         rng = np.random.default_rng(5)
         for _ in range(300):
             b1, b2 = random_box(rng), random_box(rng)
-            assert shape_iou_distance(b1, b2, PLAIN) == 1.0 - iou(b1, b2)
+            assert shape_iou_distance(b1, b2, **PLAIN) == 1.0 - iou(b1, b2)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)
@@ -174,11 +173,11 @@ class TestShapeIoUDistance:
         for _ in range(100):
             b1, b2 = random_box(rng), random_box(rng)
             for height_term, area_term in [(True, False), (False, True)]:
-                params = ShapeIoUParams(use_height_term=height_term, use_area_term=area_term)
                 expected = shape_distance_ref(
                     b1.to_tlwh(), b2.to_tlwh(), height_term=height_term, area_term=area_term
                 )
-                assert shape_iou_distance(b1, b2, params) == pytest.approx(expected, abs=1e-12)
+                got = shape_iou_distance(b1, b2, use_height_term=height_term, use_area_term=area_term)
+                assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestCostMatrix:

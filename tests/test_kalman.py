@@ -5,7 +5,6 @@ from sctrack.geometry import BoundingBox, Detection
 from sctrack.kalman import (
     InvalidStateError,
     KalmanState,
-    NoiseConfig,
     initiate,
     measurement_noise,
     predict,
@@ -73,37 +72,28 @@ class TestPredict:
 
 class TestUpdateConfidence:
     def setup_method(self):
-        self.config = NoiseConfig()
-        self.state = predict(initiate(tlwh(100, 100, 50, 120), self.config), self.config)
+        self.state = predict(initiate(tlwh(100, 100, 50, 120)))
         self.meas = tlwh(104, 101, 52, 118)
 
     def test_score_zero_keeps_noise_and_velocity(self):
-        noise_full = measurement_noise(self.state, 0.0, self.config)
-        noise_plain = measurement_noise(
-            self.state, 0.0, NoiseConfig(use_confidence_noise=False)
-        )
+        noise_full = measurement_noise(self.state, 0.0)
+        noise_plain = measurement_noise(self.state, 0.0, use_confidence_noise=False)
         assert np.array_equal(noise_full, noise_plain)
-        out = update(self.state, Detection(self.meas, 0.0), self.config)
+        out = update(self.state, Detection(self.meas, 0.0))
         assert np.array_equal(out.mean[4:], self.state.mean[4:])
 
     def test_score_one_zeroes_noise_and_keeps_standard_update(self):
-        assert np.array_equal(
-            measurement_noise(self.state, 1.0, self.config), np.zeros((4, 4))
-        )
-        blended = update(self.state, Detection(self.meas, 1.0), self.config)
-        plain = update(
-            self.state, Detection(self.meas, 1.0), NoiseConfig(use_velocity_blend=False)
-        )
+        assert np.array_equal(measurement_noise(self.state, 1.0), np.zeros((4, 4)))
+        blended = update(self.state, Detection(self.meas, 1.0))
+        plain = update(self.state, Detection(self.meas, 1.0), use_velocity_blend=False)
         assert np.array_equal(blended.mean, plain.mean)
         # zero measurement noise pins the measured components exactly
         z = np.array([self.meas.x, self.meas.y, self.meas.a, self.meas.h])
         assert np.allclose(blended.mean[:4], z, atol=1e-9)
 
     def test_score_half_velocity_is_midpoint(self):
-        out = update(self.state, Detection(self.meas, 0.5), self.config)
-        plain = update(
-            self.state, Detection(self.meas, 0.5), NoiseConfig(use_velocity_blend=False)
-        )
+        out = update(self.state, Detection(self.meas, 0.5))
+        plain = update(self.state, Detection(self.meas, 0.5), use_velocity_blend=False)
         midpoint = 0.5 * plain.mean[4:] + 0.5 * self.state.mean[4:]
         assert np.array_equal(out.mean[4:], midpoint)
 
@@ -117,7 +107,7 @@ class TestUpdateConfidence:
         z = np.array([self.meas.x, self.meas.y, self.meas.a, self.meas.h])
         prev_err = None
         for score in (0.0, 0.3, 0.6, 0.9, 1.0):
-            out = update(self.state, Detection(self.meas, score), self.config)
+            out = update(self.state, Detection(self.meas, score))
             err = np.abs(out.mean[:4] - z)
             if prev_err is not None:
                 assert np.all(err <= prev_err + 1e-12)
@@ -125,29 +115,27 @@ class TestUpdateConfidence:
 
     def test_posterior_stays_symmetric_psd(self):
         for score in (0.0, 0.25, 0.5, 0.99, 1.0):
-            out = update(self.state, Detection(self.meas, score), self.config)
+            out = update(self.state, Detection(self.meas, score))
             assert_symmetric_psd(out.covariance)
 
 
 class TestFilterBehaviour:
     def test_constant_velocity_convergence(self):
-        config = NoiseConfig()
-        state = initiate(tlwh(0, 0, 50, 100), config)
+        state = initiate(tlwh(0, 0, 50, 100))
         for k in range(1, 11):
-            state = predict(state, config)
-            state = update(state, Detection(tlwh(5.0 * k, 3.0 * k, 50, 100), 1.0), config)
+            state = predict(state)
+            state = update(state, Detection(tlwh(5.0 * k, 3.0 * k, 50, 100), 1.0))
         box = project(state)
         assert abs(box.x - 50.0) < 1e-6
         assert abs(box.y - 30.0) < 1e-6
 
     def test_posterior_position_variance_non_increasing(self):
-        config = NoiseConfig(use_confidence_noise=False, use_velocity_blend=False)
         target = tlwh(10, 10, 60, 120)
-        state = initiate(target, config)
+        state = initiate(target)
         prev = None
         for _ in range(50):
-            state = predict(state, config)
-            state = update(state, Detection(target, 0.9), config)
+            state = predict(state)
+            state = update(state, Detection(target, 0.9), use_confidence_noise=False, use_velocity_blend=False)
             var = (state.covariance[0, 0], state.covariance[1, 1])
             if prev is not None:
                 assert var[0] <= prev[0] + 1e-12
@@ -156,11 +144,10 @@ class TestFilterBehaviour:
 
     def test_long_random_sequence_preserves_covariance_invariants(self):
         rng = np.random.default_rng(42)
-        config = NoiseConfig()
-        state = initiate(tlwh(500, 500, 60, 130), config)
+        state = initiate(tlwh(500, 500, 60, 130))
         for step in range(1000):
             if rng.random() < 0.5:
-                state = predict(state, config)
+                state = predict(state)
             else:
                 box = project_or_none(state)
                 if box is None:
@@ -172,7 +159,7 @@ class TestFilterBehaviour:
                     max(box.w + jitter[2], 1.0),
                     max(box.h + jitter[3], 1.0),
                 )
-                state = update(state, Detection(meas, float(rng.uniform(0, 1))), config)
+                state = update(state, Detection(meas, float(rng.uniform(0, 1))))
             assert_symmetric_psd(state.covariance)
         else:
             return

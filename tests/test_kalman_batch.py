@@ -15,7 +15,6 @@ from sctrack.geometry import BoundingBox, Detection
 from sctrack.kalman import (
     InvalidStateError,
     KalmanState,
-    NoiseConfig,
     batch_initiate,
     batch_predict,
     batch_project,
@@ -37,7 +36,8 @@ boxes = st.builds(
     st.floats(4.0, 500.0),
 )
 scores = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-configs = st.builds(NoiseConfig, use_confidence_noise=st.booleans(), use_velocity_blend=st.booleans())
+# the confidence switches of the filter update, as keyword arguments
+switch_sets = st.fixed_dictionaries({"use_confidence_noise": st.booleans(), "use_velocity_blend": st.booleans()})
 
 
 def rows_of(box_list):
@@ -49,13 +49,13 @@ def assert_close(batched, singles):
     assert np.all(np.abs(batched - singles) <= TOL * np.maximum(1.0, np.abs(singles)))
 
 
-def tracked_states(box_list, steps, config):
+def tracked_states(box_list, steps, switches):
     """States that went through initiate, then ``steps`` predict/update cycles."""
-    states = [initiate(b, config) for b in box_list]
+    states = [initiate(b) for b in box_list]
     for k in range(steps):
-        states = [predict(s, config) for s in states]
+        states = [predict(s) for s in states]
         states = [
-            update(s, Detection(BoundingBox.from_tlwh(b.x + 3 * (k + 1), b.y, b.w, b.h), 0.8), config)
+            update(s, Detection(BoundingBox.from_tlwh(b.x + 3 * (k + 1), b.y, b.w, b.h), 0.8), **switches)
             for s, b in zip(states, box_list)
         ]
     return states
@@ -68,50 +68,50 @@ def stack(states):
 
 
 @PROPERTY_SETTINGS
-@given(st.lists(boxes, max_size=12), configs)
-def test_batch_initiate_matches_one_row_calls(box_list, config):
-    mean, covariance = batch_initiate(rows_of(box_list), config)
-    singles = [initiate(b, config) for b in box_list]
+@given(st.lists(boxes, max_size=12))
+def test_batch_initiate_matches_one_row_calls(box_list):
+    mean, covariance = batch_initiate(rows_of(box_list))
+    singles = [initiate(b) for b in box_list]
     assert_close(mean, [s.mean for s in singles])
     assert_close(covariance, [s.covariance for s in singles])
 
 
 @PROPERTY_SETTINGS
-@given(st.lists(boxes, max_size=12), st.integers(0, 3), configs)
-def test_batch_predict_matches_one_row_calls(box_list, steps, config):
-    states = tracked_states(box_list, steps, config)
+@given(st.lists(boxes, max_size=12), st.integers(0, 3), switch_sets)
+def test_batch_predict_matches_one_row_calls(box_list, steps, switches):
+    states = tracked_states(box_list, steps, switches)
     mean, covariance = stack(states)
-    new_mean, new_covariance = batch_predict(mean, covariance, config)
-    singles = [predict(s, config) for s in states]
+    new_mean, new_covariance = batch_predict(mean, covariance)
+    singles = [predict(s) for s in states]
     assert_close(new_mean, [s.mean for s in singles])
     assert_close(new_covariance, [s.covariance for s in singles])
 
 
 @PROPERTY_SETTINGS
-@given(st.lists(st.tuples(boxes, boxes, scores), max_size=12), st.integers(0, 3), configs)
-def test_batch_update_matches_one_row_calls(rows, steps, config):
-    states = [predict(s, config) for s in tracked_states([r[0] for r in rows], steps, config)]
+@given(st.lists(st.tuples(boxes, boxes, scores), max_size=12), st.integers(0, 3), switch_sets)
+def test_batch_update_matches_one_row_calls(rows, steps, switches):
+    states = [predict(s) for s in tracked_states([r[0] for r in rows], steps, switches)]
     detections = [Detection(measured, score) for _, measured, score in rows]
     mean, covariance = stack(states)
     new_mean, new_covariance = batch_update(
-        mean, covariance, rows_of([d.box for d in detections]), [d.score for d in detections], config
+        mean, covariance, rows_of([d.box for d in detections]), [d.score for d in detections], **switches
     )
-    singles = [update(s, d, config) for s, d in zip(states, detections)]
+    singles = [update(s, d, **switches) for s, d in zip(states, detections)]
     assert_close(new_mean, [s.mean for s in singles])
     assert_close(new_covariance, [s.covariance for s in singles])
 
 
 @PROPERTY_SETTINGS
-@given(st.lists(st.lists(scores, min_size=1, max_size=30), min_size=1, max_size=6), boxes, configs)
-def test_covariance_stays_symmetric_psd_for_any_scores(score_rows, box, config):
+@given(st.lists(st.lists(scores, min_size=1, max_size=30), min_size=1, max_size=6), boxes, switch_sets)
+def test_covariance_stays_symmetric_psd_for_any_scores(score_rows, box, switches):
     # one table row per score sequence, all updated together each frame
     length = max(len(r) for r in score_rows)
     padded = np.array([r + [r[-1]] * (length - len(r)) for r in score_rows])
-    mean, covariance = batch_initiate(rows_of([box] * len(padded)), config)
+    mean, covariance = batch_initiate(rows_of([box] * len(padded)))
     for frame in range(length):
-        mean, covariance = batch_predict(mean, covariance, config)
+        mean, covariance = batch_predict(mean, covariance)
         measured = mean[:, :4] + np.array([2.0, -1.0, 0.0, 0.5])
-        mean, covariance = batch_update(mean, covariance, measured, padded[:, frame], config)
+        mean, covariance = batch_update(mean, covariance, measured, padded[:, frame], **switches)
         assert np.array_equal(covariance, covariance.transpose(0, 2, 1))
         eigenvalues = np.linalg.eigvalsh(covariance)
         scale = np.maximum(1.0, np.abs(eigenvalues).max(axis=1))
@@ -152,12 +152,11 @@ def test_validity_mask_is_false_exactly_where_project_raises(rows):
 
 
 def test_empty_table():
-    config = NoiseConfig()
-    mean, covariance = batch_initiate(np.zeros((0, 4)), config)
+    mean, covariance = batch_initiate(np.zeros((0, 4)))
     assert mean.shape == (0, 8) and covariance.shape == (0, 8, 8)
-    mean, covariance = batch_predict(mean, covariance, config)
+    mean, covariance = batch_predict(mean, covariance)
     assert mean.shape == (0, 8) and covariance.shape == (0, 8, 8)
-    mean, covariance = batch_update(mean, covariance, np.zeros((0, 4)), np.zeros(0), config)
+    mean, covariance = batch_update(mean, covariance, np.zeros((0, 4)), np.zeros(0))
     assert mean.shape == (0, 8) and covariance.shape == (0, 8, 8)
     corners, valid = batch_project(mean)
     assert corners.shape == (0, 4) and valid.shape == (0,)

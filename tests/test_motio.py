@@ -191,6 +191,36 @@ class TestResultReading:
             read_results(path)
 
 
+class TestZeroAreaBoxes:
+    """Rows of positive width and height whose corner form has no area in
+    float64: at x = 10, w = 1e-30 gives x + w == x, and at the origin
+    1e-200 * 1e-200 underflows to 0.  No overlap with such a box is defined."""
+
+    GOOD = "1,2,40,10,5,5,1.0,-1,-1,-1"
+    ROWS = ["1,1,10,10,1e-30,1e-30,1.0,-1,-1,-1", "1,1,0,0,1e-200,1e-200,1.0,-1,-1,-1"]
+
+    @pytest.mark.parametrize("row", ROWS, ids=["x_plus_w_is_x", "area_underflows"])
+    def test_detections_reject_and_count_the_row(self, tmp_path, row):
+        path = tmp_path / "det.txt"
+        write_lines(path, [self.GOOD, row])
+        by_frame, stats = scan_detections(path)
+        assert stats.rejected_rows == 1
+        assert by_frame[1].tolist() == [[40.0, 10.0, 1.0, 5.0, 1.0]]
+
+    @pytest.mark.parametrize("row", ROWS, ids=["x_plus_w_is_x", "area_underflows"])
+    def test_ground_truth_row_is_a_parse_error(self, tmp_path, row):
+        path = tmp_path / "gt.txt"
+        write_lines(path, [self.GOOD, row])
+        with pytest.raises(ParseError, match=r"gt\.txt:2: ground-truth row has invalid frame or box geometry$"):
+            read_ground_truth_blocks(path)
+
+    @pytest.mark.parametrize("row", ROWS, ids=["x_plus_w_is_x", "area_underflows"])
+    def test_results_skip_the_row(self, tmp_path, row):
+        path = tmp_path / "res.txt"
+        write_lines(path, [self.GOOD, row])
+        assert read_results(path)[1].ids.tolist() == [2]
+
+
 class TestExactKeys:
     """Frames and ids are read as int64, and only while float64 holds them exactly."""
 

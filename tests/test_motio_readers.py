@@ -3,7 +3,7 @@
 Generated files mix valid rows with every irregularity the readers check:
 blank lines, CRLF and CR endings, wrong field counts, non-numeric fields,
 non-finite values in any column, non-integral or huge frame/id values,
-non-positive sizes, repeated (frame, id) pairs and out-of-range confidences.
+non-positive sizes or corner-form areas, repeated (frame, id) pairs and out-of-range confidences.
 Each file is read with a chunk size drawn from a few small values and the
 default, so rows, checks and errors that straddle chunk boundaries are
 compared too.
@@ -156,6 +156,8 @@ CHECKED = [
     "2,2,10.00,20.00,30.00,40.00,-0.2000,-1,-1,-1",  # conf below 0
     "2,2,10.00,20.00,30.00,40.00,1.5000,-1,-1,-1",  # conf above 1
     "2,2,10.00,20.00,1e-300,1e300,0.9000,-1,-1,-1",  # aspect underflows
+    "2,2,10.00,0.00,1e10,1e-300,0.9000,-1,-1,-1",  # aspect overflows, corner area positive
+    "2,2,10.00,20.00,1e-30,1e-30,0.9000,-1,-1,-1",  # positive sizes, zero corner area
 ]
 
 

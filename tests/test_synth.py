@@ -185,3 +185,19 @@ class TestSaveScenario:
         for key in ("gt", "det", "meta"):
             with open(p1[key], "rb") as f1, open(p2[key], "rb") as f2:
                 assert f1.read() == f2.read()
+
+
+class TestSpecFromDict:
+    @pytest.mark.parametrize("spec", builtin_scenarios(), ids=lambda spec: spec.name)
+    def test_every_builtin_round_trips_through_json(self, spec):
+        assert ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+    def test_absent_fields_take_the_defaults(self):
+        data = {"name": "test", "frames": 5, "objects": [{"tlwh": [0, 0, 10, 20]}]}
+        assert ScenarioSpec.from_dict(data) == ScenarioSpec("test", 5, (ObjectSpec((0, 0, 10, 20)),))
+
+    def test_misspelt_key_is_named(self):
+        data = simple_spec(dropout_prob=0.3).to_dict()
+        data["dropout"] = data.pop("dropout_prob")
+        with pytest.raises(ValueError, match="unknown scenario key 'dropout'"):
+            ScenarioSpec.from_dict(data)

@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sctrack.geometry import BoundingBox, Detection, ShapeIoUParams
-from sctrack.kalman import NoiseConfig
+from sctrack.geometry import BoundingBox, Detection
 from sctrack.tracker import (
     CONFIG_SCHEMA,
     FrameResult,
@@ -76,14 +77,7 @@ class TestStep:
     def test_same_detection_matches_when_shape_terms_disabled(self):
         # identical geometry to the test above: with plain IoU the distance
         # is ~0.67, inside the stage-1 gate, so the track survives
-        config = TrackerConfig()
-        from dataclasses import replace
-
-        config = replace(
-            config,
-            shape_params=replace(config.shape_params, use_height_term=False, use_area_term=False),
-        )
-        tracker = SCTracker(config)
+        tracker = SCTracker(TrackerConfig(use_height_term=False, use_area_term=False))
         tracker.step(1, [det(0, 0, 40, 40, 0.95)])
         first_id = tracker.tracks[0].track_id
         result = tracker.step(2, [det(20, 0, 20, 80, 0.95)])
@@ -306,23 +300,26 @@ class TestConfigValidation:
             TrackerConfig(max_lost_frames=0)
 
 
-# schema key -> (the dataclass that declares it, a valid non-default value)
+# schema key -> a valid non-default value
 NON_DEFAULT = {
-    "high_thresh": (TrackerConfig, 0.8),
-    "low_thresh": (TrackerConfig, 0.2),
-    "new_track_thresh": (TrackerConfig, 0.5),
-    "match_gate_stage1": (TrackerConfig, 0.3),
-    "match_gate_stage2": (TrackerConfig, 0.4),
-    "match_gate_unconfirmed": (TrackerConfig, 0.6),
-    "max_lost_frames": (TrackerConfig, 12),
-    "use_height_term": (ShapeIoUParams, False),
-    "use_area_term": (ShapeIoUParams, False),
-    "use_confidence_noise": (NoiseConfig, False),
-    "use_velocity_blend": (NoiseConfig, False),
+    "high_thresh": 0.8,
+    "low_thresh": 0.2,
+    "new_track_thresh": 0.5,
+    "match_gate_stage1": 0.3,
+    "match_gate_stage2": 0.4,
+    "match_gate_unconfirmed": 0.6,
+    "max_lost_frames": 12,
+    "use_height_term": False,
+    "use_area_term": False,
+    "use_confidence_noise": False,
+    "use_velocity_blend": False,
 }
 
 
 class TestWithValues:
+    """A configuration built with flat key values, through the constructor or
+    ``dataclasses.replace``, both of which run the same checks."""
+
     def test_schema_keys_order_and_types(self):
         assert list(CONFIG_SCHEMA.items()) == [
             ("high_thresh", float), ("low_thresh", float), ("new_track_thresh", float),
@@ -334,30 +331,27 @@ class TestWithValues:
 
     @pytest.mark.parametrize("key", list(CONFIG_SCHEMA))
     def test_value_lands_in_declaring_object(self, key):
-        cls, value = NON_DEFAULT[key]
-        if cls is ShapeIoUParams:
-            expected = TrackerConfig(shape_params=ShapeIoUParams(**{key: value}))
-        elif cls is NoiseConfig:
-            expected = TrackerConfig(noise_config=NoiseConfig(**{key: value}))
-        else:
-            expected = TrackerConfig(**{key: value})
-        assert expected != TrackerConfig()
-        assert TrackerConfig().with_values(**{key: value}) == expected
+        value = NON_DEFAULT[key]
+        config = replace(TrackerConfig(), **{key: value})
+        assert config != TrackerConfig() and getattr(config, key) == value
+        assert config == TrackerConfig(**{key: value})
 
     @pytest.mark.parametrize("key", list(CONFIG_SCHEMA))
     def test_value_of_the_wrong_type_is_named(self, key):
         kind = CONFIG_SCHEMA[key]
-        wrong = {bool: ["no", 1, 0.0, None], int: [True, 3.0, "3", None], float: [False, "0.5", None]}[kind]
+        wrong = {bool: ["no", 1, 0.0, None], int: [True, 3.0, 2.5, "3", None], float: [False, "0.5", None]}[kind]
         for value in wrong:
             with pytest.raises(ValueError, match=f"{key}.*{kind.__name__}"):
-                TrackerConfig().with_values(**{key: value})
+                TrackerConfig(**{key: value})
+            with pytest.raises(ValueError, match=f"{key}.*{kind.__name__}"):
+                replace(TrackerConfig(), **{key: value})
 
     def test_float_key_takes_an_int(self):
-        assert TrackerConfig().with_values(match_gate_stage1=1) == TrackerConfig(match_gate_stage1=1.0)
+        assert replace(TrackerConfig(), match_gate_stage1=1) == TrackerConfig(match_gate_stage1=1.0)
 
     def test_unknown_key_is_named(self):
-        with pytest.raises(ValueError, match="frobnicate"):
-            TrackerConfig().with_values(high_thresh=0.7, frobnicate=1)
+        with pytest.raises(TypeError, match="frobnicate"):
+            TrackerConfig(high_thresh=0.7, frobnicate=1)
 
     @pytest.mark.parametrize(
         "values, message",
@@ -371,4 +365,4 @@ class TestWithValues:
     )
     def test_validation_still_applies(self, values, message):
         with pytest.raises(ValueError, match=message):
-            TrackerConfig().with_values(**values)
+            replace(TrackerConfig(), **values)
