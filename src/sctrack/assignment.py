@@ -57,15 +57,11 @@ def solve(costs: np.ndarray, gate: float) -> AssignmentResult:
     # solver maximizes feasible cardinality before minimizing feasible cost
     sentinel = float(costs[feasible].max()) * min(m, n) + 1.0
     gated = np.where(feasible, costs, sentinel)
-    rows, cols = linear_sum_assignment(gated)
-
-    matches = sorted(
-        (int(r), int(c)) for r, c in zip(rows, cols) if feasible[r, c]
-    )
-    matched_rows = {r for r, _ in matches}
-    matched_cols = {c for _, c in matches}
+    rows, cols = linear_sum_assignment(gated)  # rows ascending
+    kept = feasible[rows, cols]
+    rows, cols = rows[kept], cols[kept]
     return AssignmentResult(
-        matches=matches,
-        unmatched_rows=[r for r in range(m) if r not in matched_rows],
-        unmatched_cols=[c for c in range(n) if c not in matched_cols],
+        matches=list(zip(rows.tolist(), cols.tolist())),
+        unmatched_rows=np.flatnonzero(np.bincount(rows, minlength=m) == 0).tolist(),
+        unmatched_cols=np.flatnonzero(np.bincount(cols, minlength=n) == 0).tolist(),
     )

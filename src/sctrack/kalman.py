@@ -15,13 +15,16 @@ Two confidence mechanisms hook into the update:
   ``score * posterior + (1 - score) * prior``, so a low-quality box cannot
   yank the motion estimate around.
 
-Each operation has one implementation, a batched kernel over a table of
-states: row ``i`` of an ``(N, 8)`` mean array and an ``(N, 8, 8)``
-covariance array is one filter.  The tracker calls the ``batch_*`` kernels
-on its whole track table once per frame; :func:`initiate`, :func:`predict`,
-:func:`update` and :func:`project` are one-row calls into them for a single
-:class:`KalmanState`.  All operations are value-in/value-out; callers never
-observe partial updates.
+The noise is diagonal and the measurement is the position half of the
+state, so the 8x8 covariance is four 2x2 (position, rate) blocks, one per
+coordinate, and every other entry stays exactly 0.  Each operation is one
+elementwise kernel over a table: row ``i`` of an ``(N, 8)`` mean and an
+``(N, 3, 4)`` covariance array (rows ``var(pos)``, ``cov(pos, rate)``,
+``var(rate)`` of x, y, a, h) is one filter.  The tracker calls the
+``batch_*`` kernels on its whole track table once per frame; the one-row
+:func:`initiate`, :func:`predict`, :func:`update` and :func:`project` take a
+:class:`KalmanState` with the full 8x8 covariance (:func:`to_blocks` and
+:func:`to_dense` convert).  Callers never observe partial updates.
 """
 
 from __future__ import annotations
@@ -35,11 +38,14 @@ from .geometry import BoundingBox, Detection, xyah_to_corners
 STATE_DIM = 8
 MEASUREMENT_DIM = 4
 
-# dt = 1 constant-velocity transition: position components pick up their rates
-_TRANSITION = np.eye(STATE_DIM)
-for _i in range(MEASUREMENT_DIM):
-    _TRANSITION[_i, MEASUREMENT_DIM + _i] = 1.0
-_IDENTITY = np.eye(STATE_DIM)
+# block row k of axis i is entry (_BLOCK_ROWS[k, i], _BLOCK_COLS[k, i]) of the 8x8 matrix
+_BLOCK_ROWS = np.arange(MEASUREMENT_DIM) + np.array([[0], [0], [MEASUREMENT_DIM]])
+_BLOCK_COLS = np.arange(MEASUREMENT_DIM) + np.array([[0], [MEASUREMENT_DIM], [MEASUREMENT_DIM]])
+
+# dt = 1 constant-velocity step: each position picks up its rate, so a block
+# [var(pos), cov, var(rate)] = [P, C, V] becomes [P + 2C + V, C + V, V]
+_TRANSITION = np.eye(STATE_DIM) + np.eye(STATE_DIM, k=MEASUREMENT_DIM)
+_BLOCK_TRANSITION = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
 
 # position and velocity noise standard deviations per unit of box height, the
 # weights of the usual box-tracking filter
@@ -58,58 +64,38 @@ class InvalidStateError(ValueError):
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Filter snapshot: 8-vector mean and 8x8 covariance.
-
-    Treated as immutable; operations hand back fresh arrays.
-    """
+    """Filter snapshot: 8-vector mean and 8x8 covariance; treated as immutable."""
 
     mean: np.ndarray
     covariance: np.ndarray
 
 
-# Each kernel's noise standard deviations are ``h * weight + constant`` per
-# state component, ``h`` being the box height: ``(weights, constants)`` rows.
+# noise standard deviations are ``h * weight + constant``, h the box height:
+# (weights, constants) as block rows (cov row 0) or, for the measurement, per axis
+_PROCESS_WEIGHTS = np.array([[_WP, _WP, 0, _WP], [0, 0, 0, 0], [_WV, _WV, 0, _WV]])
+_PROCESS_CONSTANTS = np.array([[0, 0, _ASPECT_STD, 0], [0, 0, 0, 0], [0, 0, _ASPECT_VELOCITY_STD, 0]])
 _STD_ROWS = {
-    "initiate": (
-        np.array([2 * _WP, 2 * _WP, 0, 2 * _WP, 10 * _WV, 10 * _WV, 0, 10 * _WV]),
-        np.array([0, 0, _ASPECT_STD, 0, 0, 0, _ASPECT_VELOCITY_STD, 0]),
-    ),
-    "predict": (
-        np.array([_WP, _WP, 0, _WP, _WV, _WV, 0, _WV]),
-        np.array([0, 0, _ASPECT_STD, 0, 0, 0, _ASPECT_VELOCITY_STD, 0]),
-    ),
-    "measure": (np.array([_WP, _WP, 0, _WP]), np.array([0, 0, _ASPECT_MEASUREMENT_STD, 0])),
+    "initiate": (np.array([[2.0], [0.0], [10.0]]) * _PROCESS_WEIGHTS, _PROCESS_CONSTANTS),
+    "predict": (_PROCESS_WEIGHTS, _PROCESS_CONSTANTS),
+    "measure": (_PROCESS_WEIGHTS[0], np.array([0, 0, _ASPECT_MEASUREMENT_STD, 0])),
 }
 
 
 def _variances(kernel: str, h: np.ndarray) -> np.ndarray:
-    """Diagonal noise variances of one kernel, one row per height in ``h``."""
+    """Noise variances of one kernel, one row set per height in ``h``."""
     weights, constants = _STD_ROWS[kernel]
-    return np.square(h[:, None] * weights + constants)
-
-
-def _add_diagonal(matrices: np.ndarray, rows: np.ndarray) -> None:
-    """Add ``rows[i]`` to the diagonal of ``matrices[i]`` in place (C-contiguous stack)."""
-    n, d, _ = matrices.shape
-    matrices.reshape(n, d * d)[:, :: d + 1] += rows
-
-
-def _symmetrized(matrices: np.ndarray) -> np.ndarray:
-    return 0.5 * (matrices + matrices.transpose(0, 2, 1))
+    return np.square(np.multiply.outer(h, weights) + constants)
 
 
 def batch_initiate(measurements: np.ndarray):
     """Start one state per ``[x, y, a, h]`` row, all with zero velocity.
 
-    Returns ``(mean, covariance)`` of shapes ``(N, 8)`` and ``(N, 8, 8)``.
+    Returns ``(mean, covariance)`` of shapes ``(N, 8)`` and ``(N, 3, 4)``.
     """
     measurements = np.asarray(measurements, dtype=np.float64).reshape(-1, MEASUREMENT_DIM)
-    n = len(measurements)
-    mean = np.zeros((n, STATE_DIM))
+    mean = np.zeros((len(measurements), STATE_DIM))
     mean[:, :MEASUREMENT_DIM] = measurements
-    covariance = np.zeros((n, STATE_DIM, STATE_DIM))
-    _add_diagonal(covariance, _variances("initiate", measurements[:, 3]))
-    return mean, covariance
+    return mean, _variances("initiate", measurements[:, 3])
 
 
 def batch_predict(mean: np.ndarray, covariance: np.ndarray):
@@ -118,11 +104,7 @@ def batch_predict(mean: np.ndarray, covariance: np.ndarray):
     Process noise scales with each row's height before the step.  The inputs
     are left untouched; fresh ``(mean, covariance)`` arrays are returned.
     """
-    variances = _variances("predict", mean[:, 3])
-    new_mean = mean @ _TRANSITION.T
-    new_covariance = _TRANSITION @ covariance @ _TRANSITION.T
-    _add_diagonal(new_covariance, variances)
-    return new_mean, _symmetrized(new_covariance)
+    return mean @ _TRANSITION.T, _BLOCK_TRANSITION @ covariance + _variances("predict", mean[:, 3])
 
 
 def _measurement_variances(h: np.ndarray, scores: np.ndarray, use_confidence_noise: bool) -> np.ndarray:
@@ -140,32 +122,33 @@ def batch_update(
     """Fold row ``i`` of ``measurements`` (``[x, y, a, h]``) at ``scores[i]`` into row ``i``.
 
     The switches turn the two confidence mechanisms of the module docstring
-    on or off.  One stacked 4x4 solve gives every gain; the posterior
-    covariance uses the Joseph form, which keeps it symmetric PSD even when
-    the confidence-scaled noise degenerates to zero at score 1.  The inputs
-    are left untouched.
+    on or off.  Each axis's gains are its position and cross covariances over
+    its innovation variance; the posterior uses the Joseph form, which keeps
+    it PSD even when the confidence-scaled noise is zero at score 1.  The
+    inputs are left untouched.
     """
     scores = np.asarray(scores, dtype=np.float64)
     noise = _measurement_variances(mean[:, 3], scores, use_confidence_noise)
+    pos_var, cross, rate_var = covariance.transpose(1, 0, 2).copy()  # contiguous: faster ufuncs
 
-    projected = covariance[:, :MEASUREMENT_DIM, :MEASUREMENT_DIM].copy()
-    _add_diagonal(projected, noise)
-    gain = np.linalg.solve(projected, covariance[:, :MEASUREMENT_DIM, :]).transpose(0, 2, 1)
+    innovation_var = pos_var + noise
+    pos_gain = pos_var / innovation_var
+    rate_gain = cross / innovation_var
     innovation = measurements - mean[:, :MEASUREMENT_DIM]
-    new_mean = mean + (gain @ innovation[:, :, None])[:, :, 0]
-
-    identity_kh = np.repeat(_IDENTITY[None], len(mean), axis=0)
-    identity_kh[:, :, :MEASUREMENT_DIM] -= gain
-    new_covariance = identity_kh @ covariance @ identity_kh.transpose(0, 2, 1) + (
-        gain * noise[:, None, :]
-    ) @ gain.transpose(0, 2, 1)
-
+    position = mean[:, :MEASUREMENT_DIM] + pos_gain * innovation
+    rate = mean[:, MEASUREMENT_DIM:] + rate_gain * innovation
     if use_velocity_blend:
         weight = scores[:, None]
-        new_mean[:, MEASUREMENT_DIM:] = (
-            weight * new_mean[:, MEASUREMENT_DIM:] + (1.0 - weight) * mean[:, MEASUREMENT_DIM:]
-        )
-    return new_mean, _symmetrized(new_covariance)
+        rate = weight * rate + (1.0 - weight) * mean[:, MEASUREMENT_DIM:]
+
+    # Joseph form per axis: (I - KH) S (I - KH)' + K R K', I - KH = [[1 - pos_gain, 0], [-rate_gain, 1]]
+    pos_keep, pos_gain_noise = 1.0 - pos_gain, pos_gain * noise
+    new_covariance = np.stack((
+        pos_keep * pos_keep * pos_var + pos_gain * pos_gain_noise,
+        pos_keep * (cross - rate_gain * pos_var) + rate_gain * pos_gain_noise,
+        rate_var - 2.0 * rate_gain * cross + rate_gain * rate_gain * innovation_var,
+    ), axis=1)
+    return np.concatenate([position, rate], axis=1), new_covariance
 
 
 def valid_rows(mean: np.ndarray) -> np.ndarray:
@@ -186,16 +169,35 @@ def _box_row(box: BoundingBox) -> np.ndarray:
     return np.array([[box.x, box.y, box.a, box.h]])
 
 
+def to_blocks(covariance: np.ndarray) -> np.ndarray:
+    """The ``(..., 3, 4)`` block rows of ``(..., 8, 8)`` covariances; ValueError
+    for a matrix they cannot hold (asymmetric, or non-zero off the blocks)."""
+    covariance = np.asarray(covariance, dtype=np.float64)
+    if covariance.shape[-2:] != (STATE_DIM, STATE_DIM):
+        raise ValueError(f"covariance must be 8x8, got shape {covariance.shape}")
+    blocks = covariance[..., _BLOCK_ROWS, _BLOCK_COLS]
+    if not np.array_equal(to_dense(blocks), covariance, equal_nan=True):
+        raise ValueError("covariance must be symmetric with zeros outside the four (position, rate) blocks")
+    return blocks
+
+
+def to_dense(blocks: np.ndarray) -> np.ndarray:
+    """The ``(..., 8, 8)`` covariances of ``(..., 3, 4)`` block rows."""
+    dense = np.zeros(blocks.shape[:-2] + (STATE_DIM, STATE_DIM))
+    dense[..., _BLOCK_ROWS, _BLOCK_COLS] = dense[..., _BLOCK_COLS, _BLOCK_ROWS] = blocks
+    return dense
+
+
 def initiate(measurement: BoundingBox) -> KalmanState:
     """Start a new state from an observed box with zero initial velocity."""
     mean, covariance = batch_initiate(_box_row(measurement))
-    return KalmanState(mean=mean[0], covariance=covariance[0])
+    return KalmanState(mean=mean[0], covariance=to_dense(covariance[0]))
 
 
 def predict(state: KalmanState) -> KalmanState:
     """Advance the state by one frame under the constant-velocity model."""
-    mean, covariance = batch_predict(state.mean[None], state.covariance[None])
-    return KalmanState(mean=mean[0], covariance=covariance[0])
+    mean, covariance = batch_predict(state.mean[None], to_blocks(state.covariance)[None])
+    return KalmanState(mean=mean[0], covariance=to_dense(covariance[0]))
 
 
 def measurement_noise(state: KalmanState, score: float, *, use_confidence_noise: bool = True) -> np.ndarray:
@@ -209,10 +211,10 @@ def update(
 ) -> KalmanState:
     """Fold one detection (its score lies in [0, 1]) into a predicted state."""
     mean, covariance = batch_update(
-        state.mean[None], state.covariance[None], _box_row(detection.box), [detection.score],
+        state.mean[None], to_blocks(state.covariance)[None], _box_row(detection.box), [detection.score],
         use_confidence_noise=use_confidence_noise, use_velocity_blend=use_velocity_blend,
     )
-    return KalmanState(mean=mean[0], covariance=covariance[0])
+    return KalmanState(mean=mean[0], covariance=to_dense(covariance[0]))
 
 
 def project(state: KalmanState) -> BoundingBox:

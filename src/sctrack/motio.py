@@ -191,11 +191,13 @@ def _finite(block: np.ndarray) -> np.ndarray:
 def _usable(block: np.ndarray, xyah: np.ndarray) -> np.ndarray:
     """Rows whose box and confidence fields are finite, whose box has positive
     size, and whose corner form (:func:`~sctrack.geometry.xyah_to_corners`)
-    has positive area, so the overlap of the box with any other is defined."""
+    has positive area and a width, height and area with finite squares, so
+    the overlap and shape distance of the box with any other are defined."""
     with np.errstate(all="ignore"):
         x1, y1, x2, y2 = xyah_to_corners(xyah).T
-        area = (x2 - x1) * (y2 - y1)
-    return _finite(block) & (block[:, 4] > 0) & (block[:, 5] > 0) & (area > 0)
+        sides = np.array([x2 - x1, y2 - y1, (x2 - x1) * (y2 - y1)])  # width, height, area
+        squares_finite = np.isfinite(np.square(sides)).all(axis=0)
+    return _finite(block) & (block[:, 4] > 0) & (block[:, 5] > 0) & (sides[2] > 0) & squares_finite
 
 
 def _xyah(block: np.ndarray) -> np.ndarray:

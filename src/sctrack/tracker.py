@@ -143,15 +143,15 @@ class SCTracker:
 
     The live tracks form one table: ``tracks[i]`` holds the lifecycle of the
     track whose filter state is row ``i`` of ``means`` ``(N, 8)`` and
-    ``covariances`` ``(N, 8, 8)``.  Each frame runs the batched filter
+    ``covariances`` ``(N, 3, 4)``, the four (position, rate) covariance
+    blocks of :mod:`~sctrack.kalman`.  Each frame runs the batched filter
     kernels once over the whole table.
     """
 
     def __init__(self, config: TrackerConfig = TrackerConfig()):
         self.config = config
         self.tracks: list[Track] = []
-        self.means = np.zeros((0, kalman.STATE_DIM))
-        self.covariances = np.zeros((0, kalman.STATE_DIM, kalman.STATE_DIM))
+        self.means, self.covariances = kalman.batch_initiate(np.zeros((0, kalman.MEASUREMENT_DIM)))
         self._next_id = 1
         self._last_frame: int | None = None
 

@@ -3,8 +3,8 @@
 Everything here is deliberately written against the definitions, not against
 the library code: scalar arithmetic instead of vectorized numpy, exhaustive
 search instead of the Hungarian method, a plain per-frame event counter
-for the tracking metrics and line-at-a-time MOT file readers.  Slow but
-obviously correct.
+for the tracking metrics, line-at-a-time MOT file readers and the Kalman
+filter in its textbook dense 8x8 matrix form.  Slow but obviously correct.
 """
 
 from __future__ import annotations
@@ -17,6 +17,15 @@ import numpy as np
 
 from sctrack.frames import FrameBoxes
 from sctrack.geometry import BoundingBox, Detection
+from sctrack.kalman import (
+    _ASPECT_MEASUREMENT_STD,
+    _ASPECT_STD,
+    _ASPECT_VELOCITY_STD,
+    _WP,
+    _WV,
+    MEASUREMENT_DIM,
+    STATE_DIM,
+)
 from sctrack.motio import FIELD_COUNT, GroundTruthEntry, MotRecord, ParseError, ParseStats
 
 
@@ -271,12 +280,14 @@ def _finite_box_fields_ref(record):
 def _sized_ref(record):
     """Positive width and height, and positive area once converted to corner
     form the way the library converts: ``a = w / h``, ``x2 = x + a * h``,
-    ``y2 = y + h``."""
+    ``y2 = y + h``; the squares of that width, height and area are finite."""
     if record.bb_width <= 0 or record.bb_height <= 0:
         return False
     x2 = record.bb_left + record.bb_width / record.bb_height * record.bb_height
     y2 = record.bb_top + record.bb_height
-    return (x2 - record.bb_left) * (y2 - record.bb_top) > 0
+    width, height = x2 - record.bb_left, y2 - record.bb_top
+    area = width * height
+    return area > 0 and all(math.isfinite(v * v) for v in (width, height, area))
 
 
 def _box_ref(record):
@@ -341,3 +352,115 @@ def read_results_ref(path):
         )
         for frame, rows in sorted(by_frame.items())
     }
+
+
+# --- Kalman filter, dense 8x8 matrices ----------------------------------------
+# The stacked-matrix kernels the per-axis block kernels replaced, kept as they
+# were: full transition matmuls, one 4x4 solve per row for the gain, and the
+# Joseph form with 8x8 matrices.  Means are (N, 8), covariances (N, 8, 8).
+
+# dt = 1 constant-velocity transition: position components pick up their rates
+_TRANSITION = np.eye(STATE_DIM)
+for _i in range(MEASUREMENT_DIM):
+    _TRANSITION[_i, MEASUREMENT_DIM + _i] = 1.0
+_IDENTITY = np.eye(STATE_DIM)
+
+# Each kernel's noise standard deviations are ``h * weight + constant`` per
+# state component, ``h`` being the box height: ``(weights, constants)`` rows.
+_STD_ROWS = {
+    "initiate": (
+        np.array([2 * _WP, 2 * _WP, 0, 2 * _WP, 10 * _WV, 10 * _WV, 0, 10 * _WV]),
+        np.array([0, 0, _ASPECT_STD, 0, 0, 0, _ASPECT_VELOCITY_STD, 0]),
+    ),
+    "predict": (
+        np.array([_WP, _WP, 0, _WP, _WV, _WV, 0, _WV]),
+        np.array([0, 0, _ASPECT_STD, 0, 0, 0, _ASPECT_VELOCITY_STD, 0]),
+    ),
+    "measure": (np.array([_WP, _WP, 0, _WP]), np.array([0, 0, _ASPECT_MEASUREMENT_STD, 0])),
+}
+
+
+def _variances(kernel: str, h: np.ndarray) -> np.ndarray:
+    """Diagonal noise variances of one kernel, one row per height in ``h``."""
+    weights, constants = _STD_ROWS[kernel]
+    return np.square(h[:, None] * weights + constants)
+
+
+def _add_diagonal(matrices: np.ndarray, rows: np.ndarray) -> None:
+    """Add ``rows[i]`` to the diagonal of ``matrices[i]`` in place (C-contiguous stack)."""
+    n, d, _ = matrices.shape
+    matrices.reshape(n, d * d)[:, :: d + 1] += rows
+
+
+def _symmetrized(matrices: np.ndarray) -> np.ndarray:
+    return 0.5 * (matrices + matrices.transpose(0, 2, 1))
+
+
+def dense_initiate_ref(measurements: np.ndarray):
+    """Start one state per ``[x, y, a, h]`` row, all with zero velocity.
+
+    Returns ``(mean, covariance)`` of shapes ``(N, 8)`` and ``(N, 8, 8)``.
+    """
+    measurements = np.asarray(measurements, dtype=np.float64).reshape(-1, MEASUREMENT_DIM)
+    n = len(measurements)
+    mean = np.zeros((n, STATE_DIM))
+    mean[:, :MEASUREMENT_DIM] = measurements
+    covariance = np.zeros((n, STATE_DIM, STATE_DIM))
+    _add_diagonal(covariance, _variances("initiate", measurements[:, 3]))
+    return mean, covariance
+
+
+def dense_predict_ref(mean: np.ndarray, covariance: np.ndarray):
+    """Advance every row by one frame under the constant-velocity model.
+
+    Process noise scales with each row's height before the step.  The inputs
+    are left untouched; fresh ``(mean, covariance)`` arrays are returned.
+    """
+    variances = _variances("predict", mean[:, 3])
+    new_mean = mean @ _TRANSITION.T
+    new_covariance = _TRANSITION @ covariance @ _TRANSITION.T
+    _add_diagonal(new_covariance, variances)
+    return new_mean, _symmetrized(new_covariance)
+
+
+def _measurement_variances(h: np.ndarray, scores: np.ndarray, use_confidence_noise: bool) -> np.ndarray:
+    """Diagonal measurement variances ``(N, 4)``, confidence-scaled when enabled."""
+    variances = _variances("measure", h)
+    if use_confidence_noise:
+        variances = variances * (1.0 - scores**2)[:, None]
+    return variances
+
+
+def dense_update_ref(
+    mean: np.ndarray, covariance: np.ndarray, measurements: np.ndarray, scores: np.ndarray,
+    *, use_confidence_noise: bool = True, use_velocity_blend: bool = True,
+):
+    """Fold row ``i`` of ``measurements`` (``[x, y, a, h]``) at ``scores[i]`` into row ``i``.
+
+    The switches turn the two confidence mechanisms of the module docstring
+    on or off.  One stacked 4x4 solve gives every gain; the posterior
+    covariance uses the Joseph form, which keeps it symmetric PSD even when
+    the confidence-scaled noise degenerates to zero at score 1.  The inputs
+    are left untouched.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    noise = _measurement_variances(mean[:, 3], scores, use_confidence_noise)
+
+    projected = covariance[:, :MEASUREMENT_DIM, :MEASUREMENT_DIM].copy()
+    _add_diagonal(projected, noise)
+    gain = np.linalg.solve(projected, covariance[:, :MEASUREMENT_DIM, :]).transpose(0, 2, 1)
+    innovation = measurements - mean[:, :MEASUREMENT_DIM]
+    new_mean = mean + (gain @ innovation[:, :, None])[:, :, 0]
+
+    identity_kh = np.repeat(_IDENTITY[None], len(mean), axis=0)
+    identity_kh[:, :, :MEASUREMENT_DIM] -= gain
+    new_covariance = identity_kh @ covariance @ identity_kh.transpose(0, 2, 1) + (
+        gain * noise[:, None, :]
+    ) @ gain.transpose(0, 2, 1)
+
+    if use_velocity_blend:
+        weight = scores[:, None]
+        new_mean[:, MEASUREMENT_DIM:] = (
+            weight * new_mean[:, MEASUREMENT_DIM:] + (1.0 - weight) * mean[:, MEASUREMENT_DIM:]
+        )
+    return new_mean, _symmetrized(new_covariance)

@@ -84,6 +84,18 @@ class TestSolveAgainstOracle:
 
 
 class TestSolveProperties:
+    def test_result_is_row_sorted_lists_of_python_ints(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            m, n = rng.integers(0, 9, size=2)
+            result = solve(rng.uniform(0, 2, size=(m, n)), float(rng.uniform(0, 2)))
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in result.matches)
+            values = [v for pair in result.matches for v in pair] + result.unmatched_rows + result.unmatched_cols
+            assert all(type(v) is int for v in values)
+            assert result.matches == sorted(result.matches)
+            assert result.unmatched_rows == sorted(result.unmatched_rows)
+            assert result.unmatched_cols == sorted(result.unmatched_cols)
+
     def test_gate_respected(self):
         rng = np.random.default_rng(2)
         for _ in range(100):

@@ -19,6 +19,9 @@ def scenario_dir(tmp_path):
 
 # positive width and height, but at x = 10 the corner form has x + w == x
 ZERO_AREA_BOX = "10,10,1e-30,1e-30,1.0,-1,-1,-1"
+# finite fields, but the corner-form area 1e310 overflows float64
+OVERFLOW_BOX = "1,1,1e300,1e10,1.0,-1,-1,-1"
+GOOD_BOX = "0,0,50,100,1,-1,-1,-1"
 
 
 class TestTrack:
@@ -38,6 +41,16 @@ class TestTrack:
             warnings.simplefilter("error")
             assert main(["track", "--detections", str(det), "--output", str(out)]) == 0
         assert out.read_text() == ""
+
+    def test_overflowing_detections_are_rejected_and_counted(self, tmp_path, caplog):
+        det = tmp_path / "det.txt"
+        det.write_text(f"1,-1,{GOOD_BOX}\n1,-1,{OVERFLOW_BOX}\n2,-1,{GOOD_BOX}\n2,-1,{OVERFLOW_BOX}\n")
+        out = tmp_path / "res.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["track", "--detections", str(det), "--output", str(out)]) == 0
+        assert "rejected 2 row(s)" in caplog.text
+        assert [line.split(",")[:2] for line in out.read_text().splitlines()] == [["1", "1"], ["2", "1"]]
 
     def test_missing_detections_file_fails_with_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.txt"
@@ -265,6 +278,24 @@ class TestEval:
         gt.write_text("1,1,0,0,50,100,1,-1,-1,-1\n")
         res = tmp_path / "res.txt"
         res.write_text(f"1,1,0,0,50,100,1,-1,-1,-1\n1,2,{ZERO_AREA_BOX}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--gt", str(gt), "--res", str(res)]) == 0
+        assert "MOTA      100.00%" in capsys.readouterr().out
+
+    def test_overflowing_ground_truth_is_an_error(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text(f"1,1,{GOOD_BOX}\n1,2,{OVERFLOW_BOX}\n")
+        assert main(["eval", "--gt", str(gt), "--res", str(gt)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {gt}:2: ground-truth row has invalid frame or box geometry\n"
+
+    def test_overflowing_result_is_skipped(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text(f"1,1,{GOOD_BOX}\n")
+        res = tmp_path / "res.txt"
+        res.write_text(f"1,1,{GOOD_BOX}\n1,2,{OVERFLOW_BOX}\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["eval", "--gt", str(gt), "--res", str(res)]) == 0

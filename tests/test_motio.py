@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sctrack.cli import load_config
-from sctrack.frames import FrameBoxes, detection_block
-from sctrack.geometry import BoundingBox, Detection
+from sctrack.frames import NO_BOXES, FrameBoxes, detection_block
+from sctrack.geometry import BoundingBox, Detection, pairwise_iou, pairwise_shape_iou_distance, xyah_to_corners
 from sctrack.motio import (
     GroundTruthEntry,
     MotRecord,
@@ -193,13 +195,23 @@ class TestResultReading:
 
 class TestZeroAreaBoxes:
     """Rows of positive width and height whose corner form has no area in
-    float64: at x = 10, w = 1e-30 gives x + w == x, and at the origin
-    1e-200 * 1e-200 underflows to 0.  No overlap with such a box is defined."""
+    float64, or whose width, height or area has a square that overflows: at
+    x = 10, w = 1e-30 gives x + w == x, at the origin 1e-200 * 1e-200
+    underflows to 0, a 1e300 x 1e10 box has area 1e310 = inf, and 1e160 x
+    1e-10 has a finite area but an infinite squared width.  No overlap or
+    shape distance with such a box is defined."""
 
     GOOD = "1,2,40,10,5,5,1.0,-1,-1,-1"
-    ROWS = ["1,1,10,10,1e-30,1e-30,1.0,-1,-1,-1", "1,1,0,0,1e-200,1e-200,1.0,-1,-1,-1"]
+    ROWS = [
+        "1,1,10,10,1e-30,1e-30,1.0,-1,-1,-1",
+        "1,1,0,0,1e-200,1e-200,1.0,-1,-1,-1",
+        "1,1,1,1,1e300,1e10,1.0,-1,-1,-1",
+        "1,1,1,1,1e160,1e-10,1.0,-1,-1,-1",
+        "1,1,1,1,1e-10,1e160,1.0,-1,-1,-1",
+    ]
+    IDS = ["x_plus_w_is_x", "area_underflows", "area_overflows", "width_square_overflows", "height_square_overflows"]
 
-    @pytest.mark.parametrize("row", ROWS, ids=["x_plus_w_is_x", "area_underflows"])
+    @pytest.mark.parametrize("row", ROWS, ids=IDS)
     def test_detections_reject_and_count_the_row(self, tmp_path, row):
         path = tmp_path / "det.txt"
         write_lines(path, [self.GOOD, row])
@@ -207,18 +219,52 @@ class TestZeroAreaBoxes:
         assert stats.rejected_rows == 1
         assert by_frame[1].tolist() == [[40.0, 10.0, 1.0, 5.0, 1.0]]
 
-    @pytest.mark.parametrize("row", ROWS, ids=["x_plus_w_is_x", "area_underflows"])
+    @pytest.mark.parametrize("row", ROWS, ids=IDS)
     def test_ground_truth_row_is_a_parse_error(self, tmp_path, row):
         path = tmp_path / "gt.txt"
         write_lines(path, [self.GOOD, row])
         with pytest.raises(ParseError, match=r"gt\.txt:2: ground-truth row has invalid frame or box geometry$"):
             read_ground_truth_blocks(path)
 
-    @pytest.mark.parametrize("row", ROWS, ids=["x_plus_w_is_x", "area_underflows"])
+    @pytest.mark.parametrize("row", ROWS, ids=IDS)
     def test_results_skip_the_row(self, tmp_path, row):
         path = tmp_path / "res.txt"
         write_lines(path, [self.GOOD, row])
         assert read_results(path)[1].ids.tolist() == [2]
+
+
+# tlwh fields from everyday pixel values to log-uniform magnitudes from
+# 1e-300 to 1e200, where squares and products overflow
+magnitudes = st.floats(-300.0, 200.0).map(lambda exponent: 10.0**exponent)
+coordinates = st.one_of(st.floats(-1e3, 1e3), magnitudes, magnitudes.map(lambda v: -v))
+sizes = st.one_of(st.floats(0.5, 500.0), magnitudes)
+tlwh_rows = st.lists(st.tuples(coordinates, coordinates, sizes, sizes), min_size=1, max_size=4)
+
+
+@pytest.fixture(scope="module")
+def box_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("boxes") / "boxes.txt"
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=tlwh_rows)
+def test_accepted_boxes_have_finite_overlap_and_shape_distance(box_file, rows):
+    # one frame, one id per row, each field written exactly
+    write_lines(box_file, [f"1,{i + 1},{x!r},{y!r},{w!r},{h!r},1.0,-1,-1,-1" for i, (x, y, w, h) in enumerate(rows)])
+    accepted = [
+        read_results(box_file).get(1, NO_BOXES).xyah,
+        read_detections(box_file).get(1, np.zeros((0, 5)))[:, :4],
+    ]
+    for xyah in accepted:
+        corners = xyah_to_corners(xyah)
+        overlap = pairwise_iou(corners, corners)
+        # the enclosing-rectangle normalizers of two far-apart accepted boxes
+        # may overflow to inf, which sends their terms to 0
+        with np.errstate(over="ignore"):
+            distance = pairwise_shape_iou_distance(corners, corners)
+        for values in (overlap, distance):
+            assert np.isfinite(values).all() and (values >= 0).all()
+        assert (overlap <= 1).all()
 
 
 class TestExactKeys:
