@@ -6,6 +6,9 @@ those, minimum total cost.  Gating is realized by replacing infeasible
 entries with a finite sentinel large enough that avoiding a sentinel always
 dominates any rearrangement of feasible costs, then filtering sentinel pairs
 from the solution.
+
+:func:`solve_pairs` takes the same problem as a list of candidate pairs, every
+pair off the list infeasible, and solves only what needs a solver.
 """
 
 from __future__ import annotations
@@ -23,6 +26,17 @@ class AssignmentResult:
     matches: list[tuple[int, int]] = field(default_factory=list)
     unmatched_rows: list[int] = field(default_factory=list)
     unmatched_cols: list[int] = field(default_factory=list)
+
+
+def _solve_gated(costs: np.ndarray, feasible: np.ndarray):
+    """The feasible ``(rows, cols)`` of an optimal assignment; ``feasible``
+    marks the entries of ``costs`` to use, and holds at least one."""
+    # any solution with fewer sentinel pairs beats any with more, so the
+    # solver maximizes feasible cardinality before minimizing feasible cost
+    sentinel = float(costs[feasible].max()) * min(costs.shape) + 1.0
+    rows, cols = linear_sum_assignment(np.where(feasible, costs, sentinel))  # rows ascending
+    kept = feasible[rows, cols]
+    return rows[kept], cols[kept]
 
 
 def solve(costs: np.ndarray, gate: float) -> AssignmentResult:
@@ -52,16 +66,63 @@ def solve(costs: np.ndarray, gate: float) -> AssignmentResult:
     feasible = costs <= gate
     if not feasible.any():
         return AssignmentResult([], list(range(m)), list(range(n)))
-
-    # any solution with fewer sentinel pairs beats any with more, so the
-    # solver maximizes feasible cardinality before minimizing feasible cost
-    sentinel = float(costs[feasible].max()) * min(m, n) + 1.0
-    gated = np.where(feasible, costs, sentinel)
-    rows, cols = linear_sum_assignment(gated)  # rows ascending
-    kept = feasible[rows, cols]
-    rows, cols = rows[kept], cols[kept]
+    rows, cols = _solve_gated(costs, feasible)
     return AssignmentResult(
         matches=list(zip(rows.tolist(), cols.tolist())),
         unmatched_rows=np.flatnonzero(np.bincount(rows, minlength=m) == 0).tolist(),
         unmatched_cols=np.flatnonzero(np.bincount(cols, minlength=n) == 0).tolist(),
     )
+
+
+def solve_pairs(rows: np.ndarray, cols: np.ndarray, costs: np.ndarray, gate: float):
+    """Match rows to columns along candidate pairs at cost <= gate.
+
+    Args:
+        rows, cols: int arrays; ``(rows[k], cols[k])`` is candidate pair ``k``,
+            and no pair is listed twice.  A pair not listed is infeasible.
+        costs: the finite, non-negative cost of each pair.
+        gate: maximum admissible cost for any returned pair; must be >= 0.
+
+    Returns:
+        The matched ``(rows, cols)`` as int arrays, in no set order: the
+        matching :func:`solve` returns for the matrix of these costs (every
+        entry off the list above the gate) whenever that matching is unique.
+        A feasible pair that shares neither its row nor its column with
+        another feasible pair is matched as it is; the rest are solved as one
+        compact matrix of their rows and columns, by :func:`solve`'s rule.
+    """
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    costs = np.asarray(costs, dtype=np.float64)
+    if gate < 0:
+        raise ValueError(f"gate must be non-negative, got {gate}")
+    if not np.isfinite(costs).all() or (costs < 0).any():
+        raise ValueError("pair costs must be finite and non-negative")
+    feasible = costs <= gate
+    rows, cols, costs = rows[feasible], cols[feasible], costs[feasible]
+    if not len(rows):
+        return rows, cols
+    row_count, col_count = np.bincount(rows), np.bincount(cols)
+    alone = (row_count[rows] == 1) & (col_count[cols] == 1)
+    if alone.all():
+        return rows, cols
+    shared = ~alone
+    rows_shared, cols_shared = rows[shared], cols[shared]
+    # rank each shared row and column among its kind: its compact index
+    row_ids, r = _compact(rows_shared, len(row_count))
+    col_ids, c = _compact(cols_shared, len(col_count))
+    compact = np.zeros((len(row_ids), len(col_ids)))
+    listed = np.zeros(compact.shape, bool)
+    compact[r, c], listed[r, c] = costs[shared], True
+    matched_rows, matched_cols = _solve_gated(compact, listed)
+    return (
+        np.concatenate([rows[alone], row_ids[matched_rows]]),
+        np.concatenate([cols[alone], col_ids[matched_cols]]),
+    )
+
+
+def _compact(index: np.ndarray, size: int):
+    """The distinct values of ``index`` (all below ``size``), ascending, and
+    the position of each entry's value among them."""
+    present = np.zeros(size, bool)
+    present[index] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[index]

@@ -11,6 +11,12 @@ normalized by the corresponding dimension of the minimum enclosing rectangle
 of the two boxes.  Two boxes with identical overlap but different shapes get
 different distances, which is what keeps a track from latching onto a
 similarly-placed but differently-shaped detection.
+
+Both terms are non-negative, so two boxes that do not overlap are at least 1
+apart, and a gate below 1 admits only overlapping pairs.
+:func:`overlapping_pairs` finds those without the ``(M, N)`` matrix, and
+:func:`paired_shape_iou_distance` costs them with the same formula as
+:func:`pairwise_shape_iou_distance`.
 """
 
 from __future__ import annotations
@@ -100,12 +106,14 @@ def xyah_to_corners(rows: np.ndarray) -> np.ndarray:
     return corners
 
 
-def _pairwise_overlap(corners_a, corners_b):
-    """Pairwise IoU of two non-empty corner arrays, plus the intermediates the
-    shape terms reuse: the broadcast corner views ``a`` ``(M, 1, 4)`` and
-    ``b`` ``(1, N, 4)``, the heights and the areas."""
-    a = np.asarray(corners_a, dtype=np.float64)[:, None, :]
-    b = np.asarray(corners_b, dtype=np.float64)[None, :, :]
+def _overlap(a, b):
+    """IoU of two corner operands whose leading axes broadcast together, plus
+    the intermediates the shape terms reuse: the heights and the areas.
+
+    Every quantity reads ``[..., k]``, so one formula serves row-aligned
+    ``(k, 4)`` pairs and the pairwise ``(M, 1, 4)`` / ``(1, N, 4)`` views, and
+    gives the same bits for a pair either way.
+    """
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
@@ -114,7 +122,30 @@ def _pairwise_overlap(corners_a, corners_b):
     area_a = (a[..., 2] - a[..., 0]) * h_a
     area_b = (b[..., 2] - b[..., 0]) * h_b
     # valid boxes have positive area, so the union is always positive
-    return inter / (area_a + area_b - inter), a, b, h_a, h_b, area_a, area_b
+    return inter / (area_a + area_b - inter), h_a, h_b, area_a, area_b
+
+
+def _shape_distance(a, b, use_height_term: bool, use_area_term: bool):
+    """The shape-aware IoU distance of two corner operands, as :func:`_overlap` takes them."""
+    overlap, h_a, h_b, area_a, area_b = _overlap(a, b)
+    dist = 1.0 - overlap
+    if use_height_term or use_area_term:
+        # each difference is divided by its normalizer before it is squared:
+        # what is squared is a ratio of at most 1, which cannot overflow
+        enclosing_h = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
+        if use_height_term:
+            dist = dist + ((h_a - h_b) / (enclosing_h + DEFAULT_EPSILON)) ** 2
+        if use_area_term:
+            enclosing_w = np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])
+            dist = dist + ((area_a - area_b) / (enclosing_w * enclosing_h + DEFAULT_EPSILON)) ** 2
+    return dist
+
+
+def _pairwise(corners_a, corners_b):
+    """The ``(M, 1, 4)`` and ``(1, N, 4)`` views that pair every row of two corner arrays."""
+    a = np.asarray(corners_a, dtype=np.float64)
+    b = np.asarray(corners_b, dtype=np.float64)
+    return a[:, None, :], b[None, :, :]
 
 
 def pairwise_iou(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
@@ -126,7 +157,7 @@ def pairwise_iou(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
     m, n = len(corners_a), len(corners_b)
     if m == 0 or n == 0:
         return np.zeros((m, n), dtype=np.float64)
-    return _pairwise_overlap(corners_a, corners_b)[0]
+    return _overlap(*_pairwise(corners_a, corners_b))[0]
 
 
 def pairwise_shape_iou_distance(
@@ -146,17 +177,55 @@ def pairwise_shape_iou_distance(
     m, n = len(corners_a), len(corners_b)
     if m == 0 or n == 0:
         return np.zeros((m, n), dtype=np.float64)
-    overlap, a, b, h_a, h_b, area_a, area_b = _pairwise_overlap(corners_a, corners_b)
-    dist = 1.0 - overlap
-    if use_height_term or use_area_term:
-        enclosing_h = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
-        if use_height_term:
-            dist = dist + (h_a - h_b) ** 2 / (enclosing_h + DEFAULT_EPSILON) ** 2
-        if use_area_term:
-            enclosing_w = np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])
-            enclosing_area = enclosing_w * enclosing_h
-            dist = dist + (area_a - area_b) ** 2 / (enclosing_area + DEFAULT_EPSILON) ** 2
-    return dist
+    return _shape_distance(*_pairwise(corners_a, corners_b), use_height_term, use_area_term)
+
+
+def paired_shape_iou_distance(
+    corners_a: np.ndarray,
+    corners_b: np.ndarray,
+    *,
+    use_height_term: bool = True,
+    use_area_term: bool = True,
+) -> np.ndarray:
+    """Shape-aware IoU distance of row-aligned corner arrays, shape ``(k,)``.
+
+    Entry ``k`` is the distance of ``corners_a[k]`` and ``corners_b[k]``,
+    bitwise the entry :func:`pairwise_shape_iou_distance` gives that pair.
+    """
+    return _shape_distance(
+        np.asarray(corners_a, dtype=np.float64), np.asarray(corners_b, dtype=np.float64),
+        use_height_term, use_area_term,
+    )
+
+
+def overlapping_pairs(corners_a: np.ndarray, corners_b: np.ndarray):
+    """Index arrays ``(rows, cols)`` of the pairs of a row of ``corners_a`` and
+    a row of ``corners_b`` that may overlap: a superset of the pairs with
+    positive IoU, found without forming the ``(M, N)`` matrix.
+
+    A sort-and-sweep on x, then a y test: with ``b`` sorted by ``x1``, box
+    ``a[i]`` can only overlap the ``b`` whose ``x1`` lies in
+    ``[a.x1 - W, a.x2)``, ``W`` being the widest box of ``b`` (widened by one
+    ulp, so that rounding cannot push an overlapping box out of the window);
+    of those, the pairs whose y extents overlap are kept.  ``rows`` ascends.
+    """
+    a = np.asarray(corners_a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(corners_b, dtype=np.float64).reshape(-1, 4)
+    if len(a) == 0 or len(b) == 0:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+    order = np.argsort(b[:, 0], kind="stable")
+    x1 = b[order, 0]
+    widest = np.nextafter((b[:, 2] - b[:, 0]).max(), np.inf)
+    lo = np.searchsorted(x1, a[:, 0] - widest, side="left")
+    hi = np.searchsorted(x1, a[:, 2], side="left")
+    counts = hi - lo
+    rows = np.repeat(np.arange(len(a)), counts)
+    # the k-th candidate of row i sits at sorted position lo[i] + k
+    starts = np.cumsum(counts) - counts
+    cols = order[np.arange(len(rows)) + np.repeat(lo - starts, counts)]
+    # keep the pairs whose y extents overlap too
+    hit = (a[rows, 1] < b[cols, 3]) & (b[cols, 1] < a[rows, 3])
+    return rows[hit], cols[hit]
 
 
 def iou(b1: BoundingBox, b2: BoundingBox) -> float:

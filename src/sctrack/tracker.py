@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +42,8 @@ class TrackStatus(enum.Enum):
     REMOVED = "removed"
 
 
-@dataclass
-class Track:
-    """One tracked identity's lifecycle bookkeeping.
+class Track(NamedTuple):
+    """One live track's lifecycle, as :attr:`SCTracker.tracks` reports it.
 
     Its motion state is the row of the tracker's track table at the track's
     position in :attr:`SCTracker.tracks`.
@@ -138,33 +138,52 @@ class FrameResult:
         return self.frame_index == other.frame_index and all(map(np.array_equal, self.boxes, other.boxes))
 
 
+# the ``misses`` entry of a tentative track; a confirmed track holds 0 and a
+# lost one the number of frames it has gone unmatched
+TENTATIVE = -1
+
+# a track's status by ``min(misses, 1)``
+_STATUS = {TENTATIVE: TrackStatus.TENTATIVE, 0: TrackStatus.CONFIRMED, 1: TrackStatus.LOST}
+
+# live tracks x usable detections from which a frame costs only the
+# overlapping (track, detection) pairs: the candidate sweep and the pair
+# solver have the higher fixed cost, so on a 2-vCPU host they lost to the
+# dense stages at ~1,100 cells (32 crowd objects) and won from ~2,300 (48)
+SPARSE_MIN_CELLS = 2000
+
+
 class SCTracker:
     """Stateful per-sequence tracker; call :meth:`step` once per frame.
 
-    The live tracks form one table: ``tracks[i]`` holds the lifecycle of the
-    track whose filter state is row ``i`` of ``means`` ``(N, 8)`` and
-    ``covariances`` ``(N, 3, 4)``, the four (position, rate) covariance
-    blocks of :mod:`~sctrack.kalman`.  Each frame runs the batched filter
-    kernels once over the whole table.
+    The live tracks form one table, one row per track in ascending id order:
+    ``ids`` ``(N,)`` int64, ``misses`` ``(N,)`` (:data:`TENTATIVE`, 0 for
+    confirmed, ``k > 0`` for lost ``k`` frames), and the filter state
+    ``means`` ``(N, 8)`` and ``covariances`` ``(N, 3, 4)``, the four
+    (position, rate) covariance blocks of :mod:`~sctrack.kalman`.  Each frame
+    runs the batched filter kernels once over the whole table, and retires
+    and drops tracks with masks.
     """
 
     def __init__(self, config: TrackerConfig = TrackerConfig()):
         self.config = config
-        self.tracks: list[Track] = []
+        self.ids = np.zeros(0, np.int64)
+        self.misses = np.zeros(0, np.int64)
         self.means, self.covariances = kalman.batch_initiate(np.zeros((0, kalman.MEASUREMENT_DIM)))
         self._next_id = 1
         self._last_frame: int | None = None
 
-    def _drop_removed(self):
-        """Drop removed tracks and their table rows; returns the keep mask, or
-        None when nothing was removed."""
-        keep = [t.status is not TrackStatus.REMOVED for t in self.tracks]
-        if all(keep):
-            return None
-        self.tracks = [t for t, k in zip(self.tracks, keep) if k]
-        self.means = self.means[keep]
-        self.covariances = self.covariances[keep]
-        return keep
+    @property
+    def tracks(self) -> list[Track]:
+        """The live tracks, row by row, built from ``ids`` and ``misses`` on each access."""
+        return [
+            Track(track_id, _STATUS[min(misses, 1)], max(misses, 0))
+            for track_id, misses in zip(self.ids.tolist(), self.misses.tolist())
+        ]
+
+    def _select(self, keep):
+        """Keep the table rows a mask selects."""
+        self.ids, self.misses = self.ids[keep], self.misses[keep]
+        self.means, self.covariances = self.means[keep], self.covariances[keep]
 
     def step(self, frame_index: int, detections) -> FrameResult:
         """Process one frame of detections and return the confirmed outputs.
@@ -189,108 +208,166 @@ class SCTracker:
 
         # advance every live track; before association, retire tracks that
         # have exhausted the lost budget and drop tracks whose state degenerated
+        # (the checks of whole masks go through lists: on the few rows of a
+        # small frame that is cheaper than a numpy reduction)
         self.means, self.covariances = kalman.batch_predict(self.means, self.covariances)
         corners, valid = kalman.batch_project(self.means)
-        for track, ok in zip(self.tracks, valid.tolist()):
-            if not ok or (
-                track.status is TrackStatus.LOST
-                and track.frames_since_update >= cfg.max_lost_frames
-            ):
-                track.status = TrackStatus.REMOVED
-        keep = self._drop_removed()
-        if keep is not None:
+        misses = self.misses.tolist()
+        if misses and (False in valid.tolist() or max(misses) >= cfg.max_lost_frames):
+            keep = valid & (self.misses < cfg.max_lost_frames)
+            self._select(keep)
             corners = corners[keep]
+            misses = self.misses.tolist()
 
-        # index sets are Python lists, as the assignment results are
         measured = table[:, : kalman.MEASUREMENT_DIM]
-        det_corners = geometry.xyah_to_corners(measured)
-        scores = table[:, 4].tolist()
-        high = [j for j, s in enumerate(scores) if s >= cfg.high_thresh]
-        low = [j for j, s in enumerate(scores) if cfg.low_thresh <= s < cfg.high_thresh]
-
-        def associate(rows, cols, gate):
-            """Solve one stage; returns (matched row/col pairs, unmatched rows, unmatched cols)."""
-            if not rows or not cols:
-                return [], rows, cols
-            result = assignment.solve(
-                geometry.pairwise_shape_iou_distance(
-                    corners.take(rows, 0), det_corners.take(cols, 0),
-                    use_height_term=cfg.use_height_term, use_area_term=cfg.use_area_term,
-                ),
-                gate,
-            )
-            return (
-                [(rows[r], cols[c]) for r, c in result.matches],
-                [rows[r] for r in result.unmatched_rows],
-                [cols[c] for c in result.unmatched_cols],
-            )
-
-        # stage 1: confirmed + lost tracks vs high-confidence detections
-        pool = [i for i, t in enumerate(self.tracks) if t.status is not TrackStatus.TENTATIVE]
-        matched, remainder, high_left = associate(pool, high, cfg.match_gate_stage1)
-
-        # stage 2: leftover tracks vs low-confidence detections
-        matched2, missed, _ = associate(remainder, low, cfg.match_gate_stage2)
-        matched += matched2
-
-        # stage 3: tentative tracks vs the high detections nobody claimed
-        tentative = [i for i, t in enumerate(self.tracks) if t.status is TrackStatus.TENTATIVE]
-        matched3, missed_tentative, high_left = associate(tentative, high_left, cfg.match_gate_unconfirmed)
-        matched += matched3
+        scores = table[:, 4]
+        n_tracks = len(self.ids)
+        sparse = (
+            n_tracks * len(scores) >= SPARSE_MIN_CELLS
+            and max(cfg.match_gate_stage1, cfg.match_gate_stage2, cfg.match_gate_unconfirmed) < 1.0
+            and n_tracks * np.count_nonzero(scores >= cfg.low_thresh) >= SPARSE_MIN_CELLS
+        )
+        rows, cols, born = associate(
+            corners, misses, geometry.xyah_to_corners(measured), scores, cfg, sparse=sparse
+        )
 
         # outputs come from matches, except on the first frame (no tracks to
-        # match yet), where they are the births
+        # match yet), where they are the births; rows ascend, and so do their ids
         outputs = NO_BOXES
-        if matched:
-            rows = [r for r, _ in matched]
-            cols = [c for _, c in matched]
-            # ``take`` rather than list indexing: the same rows at less call cost
-            matched_scores = table[:, 4].take(cols)
+        dropped = []  # rows whose update left a state that is no box
+        if len(rows):
+            matched_scores = scores.take(cols)
+            everyone = len(rows) == n_tracks  # every row matched, in order
             means, covariances = kalman.batch_update(
-                self.means.take(rows, 0), self.covariances.take(rows, 0),
+                self.means if everyone else self.means.take(rows, 0),
+                self.covariances if everyone else self.covariances.take(rows, 0),
                 measured.take(cols, 0), matched_scores,
                 use_confidence_noise=cfg.use_confidence_noise, use_velocity_blend=cfg.use_velocity_blend,
             )
-            self.means[rows], self.covariances[rows] = means, covariances
-            valid = kalman.valid_rows(means).tolist()
-            emitted = {}  # position in ``matched`` -> track id
-            for k, (row, ok) in enumerate(zip(rows, valid)):
-                track = self.tracks[row]
-                track.frames_since_update = 0
-                if ok:
-                    track.status = TrackStatus.CONFIRMED
-                    emitted[k] = track.track_id
-                else:
-                    track.status = TrackStatus.REMOVED
-            order = sorted(emitted, key=emitted.__getitem__)
-            ids = np.array([emitted[k] for k in order], dtype=np.int64)
-            if order != list(range(len(matched))):  # a match dropped, or ids out of order
-                means, matched_scores = means.take(order, 0), matched_scores.take(order)
+            # the update's fresh arrays become the table, or are copied into it;
+            # no array a step returns is written later (each step predicts anew)
+            if everyone:
+                self.means, self.covariances = means, covariances
+                ids = self.ids
+            else:
+                self.means[rows], self.covariances[rows] = means, covariances
+                ids = self.ids.take(rows)
+            ok = kalman.valid_rows(means)
+            if False in ok.tolist():
+                dropped = np.asarray(rows)[~ok]
+                ids, means, matched_scores = ids[ok], means[ok], matched_scores[ok]
             outputs = FrameBoxes(ids, means[:, : kalman.MEASUREMENT_DIM], matched_scores)
 
-        for row in missed:
-            track = self.tracks[row]
-            track.frames_since_update += 1
-            track.status = TrackStatus.LOST
-        for row in missed_tentative:
-            self.tracks[row].status = TrackStatus.REMOVED
-        self._drop_removed()
+        # matched rows are confirmed; unmatched ones go lost, or are dropped if
+        # tentative, as are the rows whose update failed
+        if len(rows) < n_tracks or len(dropped):
+            updated = self.misses + (self.misses != TENTATIVE)
+            updated[rows] = 0
+            updated[dropped] = TENTATIVE
+            self.misses = updated
+            if TENTATIVE in misses or len(dropped):
+                self._select(updated != TENTATIVE)
+        elif len(rows):
+            self.misses.fill(0)
 
         # seed new tracks from confident leftovers
-        born = [j for j in high_left if scores[j] >= cfg.new_track_thresh]
-        if born:
+        if len(born):
             born_xyah = measured.take(born, 0)
             means, covariances = kalman.batch_initiate(born_xyah)
             self.means = np.concatenate([self.means, means])
             self.covariances = np.concatenate([self.covariances, covariances])
-            status = TrackStatus.CONFIRMED if first_frame else TrackStatus.TENTATIVE
-            ids = np.arange(self._next_id, self._next_id + len(born), dtype=np.int64)
-            self.tracks += [Track(track_id=i, status=status) for i in ids.tolist()]
+            self.ids = np.concatenate([self.ids, range(self._next_id, self._next_id + len(born))])
+            self.misses = np.concatenate([self.misses, [0 if first_frame else TENTATIVE] * len(born)])
             self._next_id += len(born)
             if first_frame:
-                outputs = FrameBoxes(ids, born_xyah, table[:, 4].take(born))
+                outputs = FrameBoxes(self.ids, born_xyah, scores.take(born))
 
         return FrameResult(frame_index, outputs)
+
+
+def associate(track_corners, misses, det_corners, scores, config: TrackerConfig, *, sparse: bool):
+    """One frame's three association stages.
+
+    Takes the live tracks' predicted corner boxes ``(N, 4)`` with their
+    ``misses``, one int per track (:data:`TENTATIVE` marks a tentative
+    track), and the detections' corner boxes ``(n, 4)`` with their scores
+    ``(n,)``.  Returns ``(rows, cols, born)``: the matched track rows and
+    detection columns, sorted by row, and the unclaimed high-confidence
+    detections confident enough to seed a track.
+
+    ``sparse`` costs only the pairs :func:`~sctrack.geometry.overlapping_pairs`
+    finds, once for all stages, and solves them with
+    :func:`~sctrack.assignment.solve_pairs`; each stage then takes its pairs by
+    mask.  That is exact only while every gate is below 1, since a pair that
+    does not overlap costs at least 1.  Otherwise each stage costs and solves
+    its dense matrix.
+    """
+    if sparse:
+        return _associate_pairs(track_corners, np.asarray(misses) == TENTATIVE, det_corners, scores, config)
+    cfg = config
+    scores = scores.tolist()
+    high = [j for j, s in enumerate(scores) if s >= cfg.high_thresh]
+    low = [j for j, s in enumerate(scores) if cfg.low_thresh <= s < cfg.high_thresh]
+
+    def stage(rows, cols, gate):
+        """Solve one stage; returns (matched row/col pairs, unmatched rows, unmatched cols)."""
+        if not rows or not cols:
+            return [], rows, cols
+        result = assignment.solve(
+            geometry.pairwise_shape_iou_distance(
+                track_corners if len(rows) == len(track_corners) else track_corners.take(rows, 0),
+                det_corners if len(cols) == len(det_corners) else det_corners.take(cols, 0),
+                use_height_term=cfg.use_height_term, use_area_term=cfg.use_area_term,
+            ),
+            gate,
+        )
+        return (
+            [(rows[r], cols[c]) for r, c in result.matches],
+            [rows[r] for r in result.unmatched_rows],
+            [cols[c] for c in result.unmatched_cols],
+        )
+
+    # stage 1: confirmed + lost tracks vs high-confidence detections
+    pool = [i for i, m in enumerate(misses) if m != TENTATIVE]
+    matched, remainder, high_left = stage(pool, high, cfg.match_gate_stage1)
+    # stage 2: leftover tracks vs low-confidence detections
+    matched += stage(remainder, low, cfg.match_gate_stage2)[0]
+    # stage 3: tentative tracks vs the high detections nobody claimed
+    pool = [i for i, m in enumerate(misses) if m == TENTATIVE]
+    matched3, _, high_left = stage(pool, high_left, cfg.match_gate_unconfirmed)
+    matched = sorted(matched + matched3)
+    return (
+        [r for r, _ in matched], [c for _, c in matched],
+        [j for j in high_left if scores[j] >= cfg.new_track_thresh],
+    )
+
+
+def _associate_pairs(track_corners, tentative, det_corners, scores, cfg):
+    """:func:`associate` over the overlapping pairs only."""
+    usable = np.flatnonzero(scores >= cfg.low_thresh)
+    rows, cols = geometry.overlapping_pairs(track_corners, det_corners[usable])
+    cols = usable[cols]
+    costs = geometry.paired_shape_iou_distance(
+        track_corners[rows], det_corners[cols],
+        use_height_term=cfg.use_height_term, use_area_term=cfg.use_area_term,
+    )
+    high = scores >= cfg.high_thresh
+    pair_high, pair_tentative = high[cols], tentative[rows]
+    match = np.full(len(track_corners), -1)  # detection matched to each row
+    claimed = np.zeros(len(scores), bool)
+
+    def stage(pairs, gate):
+        r, c = assignment.solve_pairs(rows[pairs], cols[pairs], costs[pairs], gate)
+        match[r] = c
+        claimed[c] = True
+
+    # stage 1: confirmed + lost tracks vs high; stage 2: their leftovers vs
+    # low; stage 3: tentative tracks vs the high detections stage 1 left
+    stage(~pair_tentative & pair_high, cfg.match_gate_stage1)
+    stage(~pair_tentative & ~pair_high & (match[rows] < 0), cfg.match_gate_stage2)
+    stage(pair_tentative & pair_high & ~claimed[cols], cfg.match_gate_unconfirmed)
+    matched = np.flatnonzero(match >= 0)
+    return matched, match[matched], np.flatnonzero(high & ~claimed & (scores >= cfg.new_track_thresh))
 
 
 def run_sequence(detections_by_frame, config: TrackerConfig = TrackerConfig()) -> list[FrameResult]:

@@ -1,0 +1,162 @@
+"""Differential tests: the sparse frame association against the dense stages.
+
+``tracker.associate(..., sparse=False)`` costs and solves each stage's dense
+matrix; ``sparse=True`` costs only the overlapping pairs, once per frame.
+On frames without ties in the assignment (continuous random boxes) and with
+every gate below 1 they must give the same matches and the same births.
+The candidate kernel and the pair solver are checked on their own against
+``pairwise_iou`` and ``assignment.solve``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sctrack import assignment, tracker
+from sctrack.geometry import (
+    overlapping_pairs,
+    paired_shape_iou_distance,
+    pairwise_iou,
+    pairwise_shape_iou_distance,
+    xyah_to_corners,
+)
+from sctrack.tracker import TENTATIVE, SCTracker, TrackerConfig, associate
+
+# score bands of a frame's detections, against the default thresholds
+BANDS = {"mixed": (0.0, 1.0), "all_low": (0.1, 0.6), "all_high": (0.6, 1.0), "discarded": (0.0, 0.1)}
+
+
+def random_corners(rng, n, canvas=(400.0, 250.0)):
+    """``n`` boxes on a canvas small enough that they overlap and compete."""
+    h = rng.uniform(20.0, 120.0, n)
+    xyah = np.column_stack(
+        (rng.uniform(-20.0, canvas[0], n), rng.uniform(-20.0, canvas[1], n), rng.uniform(0.25, 1.5, n), h)
+    )
+    return xyah_to_corners(xyah)
+
+
+def frame(seed, n_tracks, n_dets, tentative_share, band):
+    """Tracks with their ``misses``, and detections of which about half
+    jitter a track's box."""
+    rng = np.random.default_rng(seed)
+    tracks = random_corners(rng, n_tracks)
+    dets = random_corners(rng, n_dets)
+    near = rng.random(n_dets) < 0.5
+    if n_tracks:
+        source = rng.integers(n_tracks, size=n_dets)
+        jitter = tracks[source] + rng.normal(0.0, 6.0, (n_dets, 4))
+        jitter[:, 2:] = np.maximum(jitter[:, 2:], jitter[:, :2] + 1.0)
+        dets[near] = jitter[near]
+    lo, hi = BANDS[band]
+    scores = rng.uniform(lo, hi, n_dets)
+    misses = np.where(rng.random(n_tracks) < tentative_share, TENTATIVE, rng.integers(0, 4, n_tracks))
+    return tracks, misses, dets, scores
+
+
+def as_lists(result):
+    return [np.asarray(part).tolist() for part in result]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_tracks=st.integers(0, 30),
+    n_dets=st.integers(0, 30),
+    tentative_share=st.sampled_from([0.0, 0.3, 1.0]),
+    band=st.sampled_from(sorted(BANDS)),
+    gates=st.tuples(*[st.floats(0.05, 0.99)] * 3),
+    shape_terms=st.booleans(),
+)
+@example(seed=1, n_tracks=0, n_dets=12, tentative_share=0.0, band="mixed", gates=(0.9, 0.5, 0.7), shape_terms=True)
+@example(seed=2, n_tracks=12, n_dets=0, tentative_share=0.3, band="mixed", gates=(0.9, 0.5, 0.7), shape_terms=True)
+@example(seed=3, n_tracks=0, n_dets=0, tentative_share=0.0, band="mixed", gates=(0.9, 0.5, 0.7), shape_terms=True)
+@example(seed=4, n_tracks=20, n_dets=25, tentative_share=0.3, band="all_low", gates=(0.9, 0.5, 0.7), shape_terms=True)
+@example(seed=5, n_tracks=20, n_dets=25, tentative_share=0.3, band="discarded", gates=(0.9, 0.5, 0.7), shape_terms=False)
+def test_sparse_association_matches_the_dense_stages(
+    seed, n_tracks, n_dets, tentative_share, band, gates, shape_terms
+):
+    config = TrackerConfig(
+        match_gate_stage1=gates[0], match_gate_stage2=gates[1], match_gate_unconfirmed=gates[2],
+        use_height_term=shape_terms, use_area_term=shape_terms,
+    )
+    tracks, misses, dets, scores = frame(seed, n_tracks, n_dets, tentative_share, band)
+    dense = associate(tracks, misses, dets, scores, config, sparse=False)
+    sparse = associate(tracks, misses, dets, scores, config, sparse=True)
+    assert as_lists(sparse) == as_lists(dense)
+
+
+def test_gates_from_one_keep_the_dense_path():
+    # boxes side by side never overlap, so only the dense path can match
+    # them, and a stage-1 gate above 1 + shape terms lets it
+    config = TrackerConfig(match_gate_stage1=2.5)
+    n = int(np.sqrt(tracker.SPARSE_MIN_CELLS)) + 1
+    left = np.column_stack((np.arange(n) * 100.0, np.zeros(n), np.full(n, 0.5), np.full(n, 80.0), np.full(n, 0.9)))
+    right = left + [45.0, 0.0, 0.0, 0.0, 0.0]
+    trk = SCTracker(config)
+    trk.step(1, left)
+    assert trk.step(2, right).boxes.ids.tolist() == list(range(1, n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 40), n=st.integers(0, 40), canvas=st.floats(50.0, 2000.0))
+def test_overlapping_pairs_hold_every_overlapping_pair(seed, m, n, canvas):
+    rng = np.random.default_rng(seed)
+    a, b = random_corners(rng, m, (canvas, canvas)), random_corners(rng, n, (canvas, canvas))
+    rows, cols = overlapping_pairs(a, b)
+    found = set(zip(rows.tolist(), cols.tolist()))
+    assert len(found) == len(rows), "a pair is listed twice"
+    overlapping = set(zip(*(idx.tolist() for idx in np.nonzero(pairwise_iou(a, b) > 0))))
+    assert overlapping <= found
+    assert rows.tolist() == sorted(rows.tolist())
+
+
+def test_overlapping_pairs_keep_boxes_that_overlap_by_a_sliver():
+    # a starts one ulp inside b's right edge, and b's width rounds down, so
+    # a.x1 minus that width lands above b.x1: only the widened window keeps b
+    b = np.array([[-9.914220815384828, 0.0, 7.097545355094287, 1.0]])
+    a = np.array([[7.097545355094286, 0.0, 17.0, 1.0]])
+    assert pairwise_iou(a, b)[0, 0] > 0 and a[0, 0] - (b[0, 2] - b[0, 0]) > b[0, 0]
+    rows, cols = overlapping_pairs(a, b)
+    assert (rows.tolist(), cols.tolist()) == ([0], [0])
+
+
+@pytest.mark.parametrize("shape_terms", [True, False])
+def test_paired_distance_is_bitwise_the_pairwise_entry(shape_terms):
+    rng = np.random.default_rng(7)
+    a, b = random_corners(rng, 30), random_corners(rng, 40)
+    terms = dict(use_height_term=shape_terms, use_area_term=shape_terms)
+    rows, cols = np.meshgrid(np.arange(30), np.arange(40), indexing="ij")
+    paired = paired_shape_iou_distance(a[rows.ravel()], b[cols.ravel()], **terms)
+    assert np.array_equal(paired, pairwise_shape_iou_distance(a, b, **terms).ravel())
+
+
+def gated_pairs(costs, gate, rng):
+    """The feasible entries of ``costs`` plus some infeasible ones, shuffled."""
+    listed = (costs <= gate) | (rng.random(costs.shape) < 0.3)
+    rows, cols = np.nonzero(listed)
+    order = rng.permutation(len(rows))
+    return rows[order], cols[order], costs[rows[order], cols[order]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 12), n=st.integers(0, 12), gate=st.floats(0.0, 1.0))
+def test_pair_solver_matches_the_dense_solver(seed, m, n, gate):
+    rng = np.random.default_rng(seed)
+    # mostly sparse feasible sets, so that both lone pairs and shared ones occur
+    costs = rng.uniform(0.0, 1.0, (m, n)) + (rng.random((m, n)) < 0.7)
+    rows, cols, pair_costs = gated_pairs(costs, gate, rng)
+    got = sorted(zip(*(part.tolist() for part in assignment.solve_pairs(rows, cols, pair_costs, gate))))
+    assert got == assignment.solve(costs, gate).matches
+
+
+def test_pair_solver_rejects_bad_inputs():
+    one = np.array([0])
+    with pytest.raises(ValueError):
+        assignment.solve_pairs(one, one, np.array([np.nan]), 0.5)
+    with pytest.raises(ValueError):
+        assignment.solve_pairs(one, one, np.array([-0.1]), 0.5)
+    with pytest.raises(ValueError):
+        assignment.solve_pairs(one, one, np.array([0.1]), -1.0)
+    empty = np.zeros(0, int)
+    assert [part.tolist() for part in assignment.solve_pairs(empty, empty, np.zeros(0), 0.5)] == [[], []]

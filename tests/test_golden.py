@@ -8,6 +8,8 @@ only by floating-point rounding.
 import numpy as np
 import pytest
 
+from sctrack import tracker
+
 from make_golden import GOLDEN_PATH, golden_runs, track_outputs
 
 BOX_TOL = 1e-9
@@ -25,7 +27,7 @@ def test_golden_covers_every_run(golden):
     assert len(labels) == 4 * 20 * 4 + 1
 
 
-def test_tracker_reproduces_golden_outputs(golden):
+def assert_reproduces(golden):
     worst = 0.0
     for i, (label, detections, config) in enumerate(golden_runs()):
         rows = golden["run"] == i
@@ -38,4 +40,17 @@ def test_tracker_reproduces_golden_outputs(golden):
             err = float(np.max(np.abs(out["box"] - golden["box"][rows])))
             assert err <= BOX_TOL, f"{label}: box error {err:.3e}"
             worst = max(worst, err)
+    return worst
+
+
+def test_tracker_reproduces_golden_outputs(golden):
+    worst = assert_reproduces(golden)
     print(f"\n321 golden runs reproduced; worst box difference {worst:.2e}")
+
+
+def test_sparse_association_reproduces_golden_outputs(golden, monkeypatch):
+    # every frame, whatever its size, costs only the overlapping pairs
+    # (every pinned run keeps its gates below 1, where that path is exact)
+    associate = tracker.associate
+    monkeypatch.setattr(tracker, "associate", lambda *args, sparse: associate(*args, sparse=True))
+    assert_reproduces(golden)

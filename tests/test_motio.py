@@ -258,10 +258,7 @@ def test_accepted_boxes_have_finite_overlap_and_shape_distance(box_file, rows):
     for xyah in accepted:
         corners = xyah_to_corners(xyah)
         overlap = pairwise_iou(corners, corners)
-        # the enclosing-rectangle normalizers of two far-apart accepted boxes
-        # may overflow to inf, which sends their terms to 0
-        with np.errstate(over="ignore"):
-            distance = pairwise_shape_iou_distance(corners, corners)
+        distance = pairwise_shape_iou_distance(corners, corners)
         for values in (overlap, distance):
             assert np.isfinite(values).all() and (values >= 0).all()
         assert (overlap <= 1).all()

@@ -8,6 +8,7 @@ from sctrack.tracker import (
     CONFIG_SCHEMA,
     FrameResult,
     SCTracker,
+    Track,
     TrackerConfig,
     TrackStatus,
     run_sequence,
@@ -216,6 +217,19 @@ class TestLifecycle:
 
 
 class TestTrackTable:
+    def test_tracks_are_views_of_the_lifecycle_arrays(self):
+        tracker = SCTracker()
+        tracker.step(1, [det(0, 0, 40, 100, 0.95), det(500, 0, 40, 100, 0.95)])
+        # track 1 is matched, track 2 missed, and a third box seeds track 3
+        tracker.step(2, [det(0, 0, 40, 100, 0.95), det(900, 0, 40, 100, 0.95)])
+        assert tracker.ids.tolist() == [1, 2, 3]
+        assert tracker.misses.tolist() == [0, 1, -1]
+        assert tracker.tracks == [
+            Track(1, TrackStatus.CONFIRMED, 0), Track(2, TrackStatus.LOST, 1), Track(3, TrackStatus.TENTATIVE, 0)
+        ]
+        with pytest.raises(AttributeError):
+            tracker.tracks = []
+
     def test_degenerate_state_is_dropped_without_disturbing_other_rows(self):
         # track 1 shrinks from h=100 to h=20 over frames 1-5 and then goes
         # undetected; coasting on its shrink rate, its predicted height

@@ -37,7 +37,8 @@ streams = st.dictionaries(st.integers(1, 25), st.lists(detections, max_size=6), 
 @given(stream=streams)
 def test_ids_are_unique_per_frame_and_never_reused(stream):
     tracker = SCTracker()
-    owner = {}  # id -> the Track object that holds it
+    before: set[int] = set()  # ids live after the previous step
+    issued = 0  # the largest id live after any earlier step
     gone: set[int] = set()
     frames = sorted(stream)
     for frame in range(frames[0], frames[-1] + 1) if frames else ():
@@ -47,11 +48,16 @@ def test_ids_are_unique_per_frame_and_never_reused(stream):
         live = {t.track_id: t for t in tracker.tracks}
         assert len(live) == len(tracker.tracks)
         for track_id, track in live.items():
-            assert owner.setdefault(track_id, track) is track, f"id {track_id} given to a second track"
-        gone |= set(owner) - set(live)
+            # a track keeps its id, and a new track takes an id above every
+            # earlier one; a tentative track is always a birth of this step
+            kept = track_id in before and track.status is not TrackStatus.TENTATIVE
+            assert kept or track_id > issued, f"id {track_id} given to a second track"
+        issued = max([issued, *live])
+        gone |= before - set(live)
         assert not gone & set(live), "a retired id is live again"
         assert not gone & set(ids), "a retired id is output again"
         assert set(ids) <= set(live)
+        before = set(live)
 
 
 @settings(max_examples=150, deadline=None)
