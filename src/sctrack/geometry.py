@@ -15,8 +15,8 @@ similarly-placed but differently-shaped detection.
 Both terms are non-negative, so two boxes that do not overlap are at least 1
 apart, and a gate below 1 admits only overlapping pairs.
 :func:`overlapping_pairs` finds those without the ``(M, N)`` matrix, and
-:func:`paired_shape_iou_distance` costs them with the same formula as
-:func:`pairwise_shape_iou_distance`.
+:func:`paired_shape_iou_distance` and :func:`paired_iou` cost them with the
+same formulas as :func:`pairwise_shape_iou_distance` and :func:`pairwise_iou`.
 """
 
 from __future__ import annotations
@@ -137,7 +137,11 @@ def _shape_distance(a, b, use_height_term: bool, use_area_term: bool):
             dist = dist + ((h_a - h_b) / (enclosing_h + DEFAULT_EPSILON)) ** 2
         if use_area_term:
             enclosing_w = np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])
-            dist = dist + ((area_a - area_b) / (enclosing_w * enclosing_h + DEFAULT_EPSILON)) ** 2
+            # far-apart extents can overflow the enclosing area to inf, where
+            # the term takes its limit 0
+            with np.errstate(over="ignore"):
+                enclosing_area = enclosing_w * enclosing_h
+            dist = dist + ((area_a - area_b) / (enclosing_area + DEFAULT_EPSILON)) ** 2
     return dist
 
 
@@ -198,7 +202,13 @@ def paired_shape_iou_distance(
     )
 
 
-def overlapping_pairs(corners_a: np.ndarray, corners_b: np.ndarray):
+def paired_iou(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
+    """IoU of row-aligned corner arrays, shape ``(k,)``: entry ``k`` is bitwise
+    the entry :func:`pairwise_iou` gives ``corners_a[k]`` and ``corners_b[k]``."""
+    return _overlap(np.asarray(corners_a, dtype=np.float64), np.asarray(corners_b, dtype=np.float64))[0]
+
+
+def overlapping_pairs(corners_a: np.ndarray, corners_b: np.ndarray, keys_a=None, keys_b=None):
     """Index arrays ``(rows, cols)`` of the pairs of a row of ``corners_a`` and
     a row of ``corners_b`` that may overlap: a superset of the pairs with
     positive IoU, found without forming the ``(M, N)`` matrix.
@@ -208,16 +218,32 @@ def overlapping_pairs(corners_a: np.ndarray, corners_b: np.ndarray):
     ``[a.x1 - W, a.x2)``, ``W`` being the widest box of ``b`` (widened by one
     ulp, so that rounding cannot push an overlapping box out of the window);
     of those, the pairs whose y extents overlap are kept.  ``rows`` ascends.
+
+    With integer row keys ``keys_a`` and ``keys_b`` (say, frame numbers), only
+    pairs of equal keys are listed, the pairs each key's rows give on their
+    own: ``b`` is sorted by ``(key, x1)``, ``W`` is the widest ``b`` of the
+    key, and each window is searched within the rows of its own key,
+    comparing the coordinates as they are.
     """
     a = np.asarray(corners_a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(corners_b, dtype=np.float64).reshape(-1, 4)
     if len(a) == 0 or len(b) == 0:
         return np.zeros(0, np.intp), np.zeros(0, np.intp)
-    order = np.argsort(b[:, 0], kind="stable")
-    x1 = b[order, 0]
-    widest = np.nextafter((b[:, 2] - b[:, 0]).max(), np.inf)
-    lo = np.searchsorted(x1, a[:, 0] - widest, side="left")
-    hi = np.searchsorted(x1, a[:, 2], side="left")
+    if keys_a is None:
+        widest = np.nextafter((b[:, 2] - b[:, 0]).max(), np.inf)
+        order = np.argsort(b[:, 0], kind="stable")
+        x1 = b[order, 0]
+        lo = np.searchsorted(x1, a[:, 0] - widest, side="left")
+        hi = np.searchsorted(x1, a[:, 2], side="left")
+    else:
+        # the widest box of each key; a row of a key that no b holds finds
+        # no b whatever width it takes
+        key_values, key_of_b = np.unique(keys_b, return_inverse=True)
+        widest = np.full(len(key_values), -np.inf)
+        np.maximum.at(widest, key_of_b, b[:, 2] - b[:, 0])
+        key_of_a = np.minimum(np.searchsorted(key_values, keys_a), len(key_values) - 1)
+        lo_x = a[:, 0] - np.nextafter(widest, np.inf)[key_of_a]
+        order, lo, hi = _keyed_windows(keys_a, keys_b, lo_x, a[:, 2], b[:, 0])
     counts = hi - lo
     rows = np.repeat(np.arange(len(a)), counts)
     # the k-th candidate of row i sits at sorted position lo[i] + k
@@ -226,6 +252,30 @@ def overlapping_pairs(corners_a: np.ndarray, corners_b: np.ndarray):
     # keep the pairs whose y extents overlap too
     hit = (a[rows, 1] < b[cols, 3]) & (b[cols, 1] < a[rows, 3])
     return rows[hit], cols[hit]
+
+
+def _keyed_windows(keys_a, keys_b, lo_x, hi_x, x1):
+    """The order that sorts ``b`` by ``(key, x1)``, and for each row of ``a``
+    the number of ``b`` rows below ``(key, lo_x)`` and below ``(key, hi_x)``
+    in that order.
+
+    The ``b`` rows and both bounds of every ``a`` row are sorted together by
+    ``(key, x)``.  A bound's count is that of the ``b`` rows before the first
+    entry equal to it, so that it holds whatever order the sort leaves ties in.
+    """
+    n_b, n_a = len(x1), len(lo_x)
+    keys = np.concatenate([keys_b, keys_a, keys_a])
+    values = np.concatenate([x1, lo_x, hi_x])
+    by_value = np.argsort(values)
+    merged = by_value[np.argsort(keys[by_value], kind="stable")]
+    keys, values = keys[merged], values[merged]
+    is_b = merged < n_b
+    first = np.ones(len(merged), bool)
+    first[1:] = (keys[1:] != keys[:-1]) | (values[1:] != values[:-1])
+    run_start = np.maximum.accumulate(np.where(first, np.arange(len(merged)), 0))
+    below = np.empty(len(merged), np.intp)
+    below[merged] = (np.cumsum(is_b) - is_b)[run_start]
+    return merged[is_b], below[n_b:n_b + n_a], below[n_b + n_a:]
 
 
 def iou(b1: BoundingBox, b2: BoundingBox) -> float:

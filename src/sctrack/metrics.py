@@ -2,16 +2,25 @@
 
 Per-frame correspondence between ground truth and hypotheses uses an IoU
 threshold with match persistence: a pair matched in the previous frame is
-kept while its IoU stays above the threshold, and only the remainder is
-re-matched by minimum-cost assignment on ``1 - IoU``.  False positives are
-unmatched hypotheses, false negatives unmatched ground-truth boxes, and an
-identity switch is counted whenever a matched ground-truth object changes
+kept while its IoU stays at or above the threshold, and only the remainder
+is re-matched by minimum-cost assignment on ``1 - IoU``.  False positives
+are unmatched hypotheses, false negatives unmatched ground-truth boxes, and
+an identity switch is counted whenever a matched ground-truth object changes
 hypothesis id relative to its last matched id.
 
 ``MOTA = 1 - (FN + FP + IDSW) / GT`` (can be negative).  IDF1 comes from a
 single global bipartite matching between ground-truth and predicted ids that
 maximizes the number of frame-wise overlapping (IoU above threshold)
 box pairs: ``IDF1 = 2 * IDTP / (2 * IDTP + IDFP + IDFN)``.
+
+One call does its geometry once for all frames.  Each input becomes one
+table of rows (frame, id, corners); one candidate sweep keyed by frame
+(:func:`~sctrack.geometry.overlapping_pairs`) lists the box pairs that can
+overlap, and their IoU is computed row by row.  These pairs feed both the
+event counts and the identity overlap counts.  A pair alone in its
+ground-truth row and its hypothesis row is matched whatever the history, so
+the persistence rule is replayed only in frames that hold a contested pair,
+and only on those pairs.
 """
 
 from __future__ import annotations
@@ -22,8 +31,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import assignment
-from .frames import frame_boxes, repeated, split
-from .geometry import pairwise_iou, xyah_to_corners
+from .frames import frame_boxes, repeated
+from .geometry import overlapping_pairs, paired_iou, xyah_to_corners
+# no longer called here, but kept importable from this module, where
+# instrumentation that wraps the evaluator's overlap kernel looks it up
+from .geometry import pairwise_iou  # noqa: F401
 
 DEFAULT_IOU_MATCH_THRESH = 0.5
 
@@ -89,9 +101,14 @@ class MetricsReport:
         )
 
 
+# ground-truth rows per block of whole frames in the candidate sweep, which
+# bounds the size of its arrays on long sequences
+_BLOCK_ROWS = 4096
+
+
 def _frames(by_frame, source: str):
-    """``(frame -> (offset, ids, corners), all ids)`` over the frames that hold
-    boxes; a frame's rows start at ``offset`` in the array of all ids.
+    """``(frames, sizes, ids, corners)`` over the frames of a map that hold
+    boxes, frames ascending.
 
     Every frame is converted once; one vectorised test finds the first
     frame, in the map's order, that repeats an id.
@@ -103,22 +120,31 @@ def _frames(by_frame, source: str):
             frames.append(frame)
             blocks.append(block)
     if not blocks:
-        return {}, np.zeros(0, np.int64)
+        return [], [], np.zeros(0, np.int64), np.zeros((0, 4))
+    order = sorted(range(len(frames)), key=frames.__getitem__)
+    frames, blocks = [frames[k] for k in order], [blocks[k] for k in order]
     sizes = [len(block.ids) for block in blocks]
     ids = np.concatenate([block.ids for block in blocks])
     frame_no = np.repeat(np.arange(len(blocks)), sizes)
     repeats = repeated(frame_no, ids)
     if repeats.any():
-        n = int(repeats.argmax())
+        n = min(np.flatnonzero(repeats).tolist(), key=lambda n: order[frame_no[n]])
         raise ValueError(f"{source} frame {frames[frame_no[n]]} repeats id {int(ids[n])}")
-    offsets = np.cumsum([0, *sizes[:-1]]).tolist()
-    id_lists = split(ids.tolist(), sizes)
-    corners = split(xyah_to_corners(np.concatenate([block.xyah for block in blocks])), sizes)
-    return dict(zip(frames, zip(offsets, id_lists, corners))), ids
+    return frames, sizes, ids, xyah_to_corners(np.concatenate([block.xyah for block in blocks]))
 
 
 def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) -> MetricsReport:
     """Score tracking results against ground truth.
+
+    A box pair is feasible when its boxes overlap and ``1 - IoU <= 1 -
+    iou_match_thresh`` (the gate :func:`~sctrack.assignment.solve` applies);
+    a pair matched in the previous frame is kept when ``IoU >=
+    iou_match_thresh``.  The rest of a frame is matched for maximum
+    cardinality, then minimum total ``1 - IoU``, by
+    :func:`~sctrack.assignment.solve_pairs`.  Where two such matchings tie,
+    the one taken may differ from a dense solve of the frame's matrix, and
+    through persistence so may later frames' events; whenever each frame's
+    optimum is unique, the report is that of a dense per-frame solve.
 
     Args:
         gt: map frame -> :class:`~sctrack.frames.FrameBoxes`, or iterable of
@@ -131,96 +157,133 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
     Raises:
         ValueError: if ``iou_match_thresh`` is NaN or outside (0, 1], if the
             ground truth contains no boxes (the accuracy denominator would be
-            undefined), or if either input repeats an id within a frame (the
-            correspondence would be ambiguous; the message names both).
+            undefined), if either input repeats an id within a frame (the
+            correspondence would be ambiguous; the message names both), or if
+            the IoU of two overlapping boxes is not a number.
     """
     if not 0.0 < iou_match_thresh <= 1.0:
         raise ValueError(f"iou_match_thresh must lie in (0, 1], got {iou_match_thresh}")
-    gt, all_gt = _frames(gt, "ground truth")
-    results, all_hyp = _frames(results, "results")
-    gt_count = len(all_gt)
+    gt_frames, gt_sizes, gt_ids, gt_corners = _frames(gt, "ground truth")
+    hyp_frames, hyp_sizes, hyp_ids, hyp_corners = _frames(results, "results")
+    gt_count, hyp_count = len(gt_ids), len(hyp_ids)
     if gt_count == 0:
         raise ValueError("ground truth is empty; tracking accuracy is undefined")
+    union = sorted(set(gt_frames) | set(hyp_frames))
+    rank = {frame: r for r, frame in enumerate(union)}
+    gt_rank = np.repeat(np.array([rank[frame] for frame in gt_frames], np.int64), gt_sizes)
+    hyp_rank = np.repeat(np.array([rank[frame] for frame in hyp_frames], np.int64), hyp_sizes)
 
-    fp = fn = idsw = tp = 0
-    active_pairs: dict[int, int] = {}
-    last_matched: dict[int, int] = {}
-    # every box pair whose IoU reaches the threshold, as row and column
-    # positions per frame plus the frame's offsets into the arrays of all
-    # ids, for IDF1
-    hit_rows, hit_cols, hit_offsets = [], [], []
-    none = (0, [], np.zeros((0, 4)))
+    gate = 1.0 - iou_match_thresh
+    rows, cols, iou = _feasible_pairs(gt_rank, gt_corners, hyp_rank, hyp_corners, gate, union)
+    hit = iou >= iou_match_thresh
+    # each id's rank among the distinct ids of its side
+    g = np.unique(gt_ids, return_inverse=True)[1][rows]
+    h = np.unique(hyp_ids, return_inverse=True)[1][cols]
+    frame = gt_rank[rows]
+    matched = _matched(frame, g * (hyp_count + 1) + h, hit, rows, cols, iou, gate)
 
-    for frame in sorted(set(gt) | set(results)):
-        gt_offset, gt_ids, gt_corners = gt.get(frame, none)
-        hyp_offset, hyp_ids, hyp_corners = results.get(frame, none)
-        iou_matrix = pairwise_iou(gt_corners, hyp_corners)
-        hits = iou_matrix >= iou_match_thresh
-        rows, cols = np.nonzero(hits)
-        hit_rows.append(rows)
-        hit_cols.append(cols)
-        hit_offsets.append((gt_offset, hyp_offset, len(rows)))
-
-        gt_index = {g: i for i, g in enumerate(gt_ids)}
-        hyp_index = {h: j for j, h in enumerate(hyp_ids)}
-
-        # keep last frame's pairs that still overlap well enough
-        kept: list[tuple[int, int]] = []
-        for g, h in active_pairs.items():
-            i, j = gt_index.get(g), hyp_index.get(h)
-            if i is not None and j is not None and hits[i, j]:
-                kept.append((g, h))
-        kept_gt = {g for g, _ in kept}
-        kept_hyp = {h for _, h in kept}
-
-        free_gt = [i for i, g in enumerate(gt_ids) if g not in kept_gt]
-        free_hyp = [j for j, h in enumerate(hyp_ids) if h not in kept_hyp]
-        costs = 1.0 - iou_matrix.take(free_gt, 0).take(free_hyp, 1)
-        solved = assignment.solve(costs, gate=1.0 - iou_match_thresh)
-        fresh = [(gt_ids[free_gt[r]], hyp_ids[free_hyp[c]]) for r, c in solved.matches]
-
-        pairs = kept + fresh
-        tp += len(pairs)
-        fp += len(hyp_ids) - len(pairs)
-        fn += len(gt_ids) - len(pairs)
-        for g, h in fresh:
-            if g in last_matched and last_matched[g] != h:
-                idsw += 1
-        for g, h in pairs:
-            last_matched[g] = h
-        active_pairs = dict(pairs)
-
+    tp = int(np.count_nonzero(matched))
+    fp, fn = hyp_count - tp, gt_count - tp
+    # a switch is a change of hyp id between two consecutive matches of a gt;
+    # pairs come in frame order, which the stable sort keeps within each gt
+    g_seq, h_seq = g[matched], h[matched]
+    by_gt = np.argsort(g_seq, kind="stable")
+    g_seq, h_seq = g_seq[by_gt], h_seq[by_gt]
+    idsw = int(np.count_nonzero((g_seq[1:] == g_seq[:-1]) & (h_seq[1:] != h_seq[:-1])))
     mota = 1.0 - (fn + fp + idsw) / gt_count
-    gt_offsets, hyp_offsets, counts = np.array(hit_offsets).reshape(-1, 3).T
-    hit_gt = all_gt[np.concatenate(hit_rows) + np.repeat(gt_offsets, counts)]
-    hit_hyp = all_hyp[np.concatenate(hit_cols) + np.repeat(hyp_offsets, counts)]
-    idf1 = _identity_f1(all_gt, all_hyp, hit_gt, hit_hyp)
+    idf1 = _identity_f1(g[hit], h[hit], gt_count + hyp_count)
     return MetricsReport(
         mota=mota, idf1=idf1, idsw=idsw, fp=fp, fn=fn, gt_count=gt_count, matches=tp
     )
 
 
-def _identity_f1(gt_ids, hyp_ids, hit_gt, hit_hyp) -> float:
-    """Global id-to-id matching score from every box's id and the id pair of
-    every box pair that overlaps enough."""
-    if not len(hyp_ids):
-        return 0.0
-    total = len(gt_ids) + len(hyp_ids)
-    g, len_g = np.unique(gt_ids, return_counts=True)
-    h, len_h = np.unique(hyp_ids, return_counts=True)
-    len_g, len_h = len_g.astype(np.float64), len_h.astype(np.float64)
-    n_g, n_h = len(len_g), len(len_h)
-    shared = np.zeros((n_g, n_h))
-    np.add.at(shared, (np.searchsorted(g, hit_gt), np.searchsorted(h, hit_hyp)), 1.0)
+def _feasible_pairs(gt_rank, gt_corners, hyp_rank, hyp_corners, gate, frames):
+    """``(gt row, hyp row, IoU)`` of every same-frame pair of overlapping boxes
+    with ``1 - IoU <= gate``, gt rows ascending.
 
-    costs = np.full((n_g + n_h, n_h + n_g), float(total) * 10.0 + 10.0)
-    # frames where a pair disagrees: id-level FN plus FP
-    costs[:n_g, :n_h] = len_g[:, None] + len_h[None, :] - 2.0 * shared
-    np.fill_diagonal(costs[:n_g, n_h:], len_g)
-    np.fill_diagonal(costs[n_g:, :n_h], len_h)
-    costs[n_g:, n_h:] = 0.0
+    The sweep is keyed by frame rank and runs over blocks of whole frames of
+    about ``_BLOCK_ROWS`` ground-truth rows.  ``frames`` names each rank.
+    """
+    parts = []
+    start = 0
+    while start < len(gt_rank):
+        last = gt_rank[min(start + _BLOCK_ROWS, len(gt_rank)) - 1]
+        end = int(np.searchsorted(gt_rank, last, "right"))
+        lo = int(np.searchsorted(hyp_rank, gt_rank[start], "left"))
+        hi = int(np.searchsorted(hyp_rank, last, "right"))
+        rows, cols = overlapping_pairs(
+            gt_corners[start:end], hyp_corners[lo:hi], gt_rank[start:end], hyp_rank[lo:hi]
+        )
+        rows, cols = rows + start, cols + lo
+        iou = paired_iou(gt_corners[rows], hyp_corners[cols])
+        undefined = np.isnan(iou)
+        if undefined.any():
+            frame = frames[gt_rank[rows[undefined.argmax()]]]
+            raise ValueError(f"frame {frame}: the IoU of two boxes is not a number")
+        feasible = (1.0 - iou <= gate) & (iou > 0.0)
+        parts.append((rows[feasible], cols[feasible], iou[feasible]))
+        start = end
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
-    rows, cols = linear_sum_assignment(costs)
-    disagreement = float(costs[rows, cols].sum())
-    idtp = (total - disagreement) / 2.0
+
+def _matched(frame, id_pair, hit, rows, cols, iou, gate):
+    """Mask of the feasible pairs (in frame order) that the per-frame rule
+    with match persistence matches; ``id_pair`` numbers each (gt id, hyp id).
+
+    A pair alone in its gt row and its hyp row is matched whatever the
+    history.  In a frame with contested pairs, the contested ones that are
+    hits and were matched in the previous frame of the union are kept, and
+    the rest of them go to the pair solver.
+    """
+    row_count, col_count = np.bincount(rows), np.bincount(cols)
+    contested = (row_count[rows] > 1) | (col_count[cols] > 1)
+    matched = ~contested
+    # the hyp row matched to each gt row of a contested frame, and the hyp
+    # rows taken; a row lies in one frame, so no entry is ever reset
+    partner = np.full(len(row_count), -1)
+    taken = np.zeros(len(col_count), bool)
+    at = np.unique(frame[contested])
+    # each such frame's pairs are [start, end), the previous frame's [before, start)
+    befores = np.searchsorted(frame, at - 1).tolist()
+    starts = np.searchsorted(frame, at).tolist()
+    ends = np.searchsorted(frame, at, "right").tolist()
+    for before, start, end in zip(befores, starts, ends):
+        pairs = start + np.flatnonzero(contested[start:end])
+        active = set(id_pair[before:start][matched[before:start]].tolist())
+        if active:
+            keep = [
+                is_hit and pair in active
+                for is_hit, pair in zip(hit[pairs].tolist(), id_pair[pairs].tolist())
+            ]
+            kept = pairs[np.array(keep, bool)]
+            matched[kept] = True
+            partner[rows[kept]], taken[cols[kept]] = cols[kept], True
+            pairs = pairs[(partner[rows[pairs]] < 0) & ~taken[cols[pairs]]]
+        if len(pairs):
+            r0, c0 = rows[pairs].min(), cols[pairs].min()
+            solved = assignment.solve_pairs(rows[pairs] - r0, cols[pairs] - c0, 1.0 - iou[pairs], gate)
+            partner[solved[0] + r0] = solved[1] + c0
+            matched[pairs[partner[rows[pairs]] == cols[pairs]]] = True
+    return matched
+
+
+def _identity_f1(hit_gt, hit_hyp, total: int) -> float:
+    """Global id-to-id matching score from the (gt, hyp) id index pair of
+    every box pair that overlaps enough, and the number of boxes.
+
+    IDTP is the largest sum of ``shared`` hit counts over a one-to-one
+    matching of ids.  An id pair alone in its row and column of ``shared`` is
+    in every such matching; the others are solved as one compact matrix.
+    """
+    span = int(hit_hyp.max(initial=0)) + 1
+    pairs, shared = np.unique(hit_gt * span + hit_hyp, return_counts=True)
+    g, h = pairs // span, pairs % span
+    alone = (np.bincount(g)[g] == 1) & (np.bincount(h)[h] == 1)
+    idtp = int(shared[alone].sum())
+    if not alone.all():
+        g_ids, r = np.unique(g[~alone], return_inverse=True)
+        h_ids, c = np.unique(h[~alone], return_inverse=True)
+        weights = np.zeros((len(g_ids), len(h_ids)))
+        weights[r, c] = shared[~alone]
+        idtp += int(weights[linear_sum_assignment(weights, maximize=True)].sum())
     return 2.0 * idtp / total

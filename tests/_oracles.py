@@ -3,8 +3,8 @@
 Everything here is deliberately written against the definitions, not against
 the library code: scalar arithmetic instead of vectorized numpy, exhaustive
 search instead of the Hungarian method, a plain per-frame event counter
-for the tracking metrics, line-at-a-time MOT file readers and the Kalman
-filter in its textbook dense 8x8 matrix form.  Slow but obviously correct.
+for the tracking metrics, the per-frame dense evaluator, line-at-a-time MOT
+file readers and the Kalman filter in its textbook dense 8x8 matrix form.  Slow but obviously correct.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from sctrack.frames import FrameBoxes
-from sctrack.geometry import BoundingBox, Detection
+from sctrack import assignment
+from sctrack.frames import FrameBoxes, frame_boxes, repeated, split
+from sctrack.geometry import BoundingBox, Detection, pairwise_iou, xyah_to_corners
 from sctrack.kalman import (
     _ASPECT_MEASUREMENT_STD,
     _ASPECT_STD,
@@ -26,6 +28,7 @@ from sctrack.kalman import (
     MEASUREMENT_DIM,
     STATE_DIM,
 )
+from sctrack.metrics import MetricsReport
 from sctrack.motio import FIELD_COUNT, GroundTruthEntry, MotRecord, ParseError, ParseStats
 
 
@@ -215,6 +218,148 @@ def identity_f1_ref(gt, results, thresh=0.5):
                 best = max(best, sum(shared_frames(g, h) for g, h in zip(gt_subset, hyp_perm)))
     total = sum(len(rows) for rows in gt.values()) + sum(len(rows) for rows in results.values())
     return 2 * best / total
+
+
+# --- the per-frame evaluator ---------------------------------------------------
+# The evaluator the candidate-pair one replaced, kept as it was: one dense IoU
+# matrix per frame, the persistence rule on every frame, a dense
+# ``assignment.solve`` of the rest, and IDF1 from the ``(G + H)^2`` matrix.
+
+def _dense_frames(by_frame, source: str):
+    """``(frame -> (offset, ids, corners), all ids)`` over the frames that hold
+    boxes; a frame's rows start at ``offset`` in the array of all ids.
+
+    Every frame is converted once; one vectorised test finds the first
+    frame, in the map's order, that repeats an id.
+    """
+    frames, blocks = [], []
+    for frame, rows in by_frame.items():
+        block = frame_boxes(rows)
+        if len(block.ids):
+            frames.append(frame)
+            blocks.append(block)
+    if not blocks:
+        return {}, np.zeros(0, np.int64)
+    sizes = [len(block.ids) for block in blocks]
+    ids = np.concatenate([block.ids for block in blocks])
+    frame_no = np.repeat(np.arange(len(blocks)), sizes)
+    repeats = repeated(frame_no, ids)
+    if repeats.any():
+        n = int(repeats.argmax())
+        raise ValueError(f"{source} frame {frames[frame_no[n]]} repeats id {int(ids[n])}")
+    offsets = np.cumsum([0, *sizes[:-1]]).tolist()
+    id_lists = split(ids.tolist(), sizes)
+    corners = split(xyah_to_corners(np.concatenate([block.xyah for block in blocks])), sizes)
+    return dict(zip(frames, zip(offsets, id_lists, corners))), ids
+
+
+def dense_evaluate_ref(gt, results, iou_match_thresh: float = 0.5) -> MetricsReport:
+    """Score tracking results against ground truth.
+
+    Args:
+        gt: map frame -> :class:`~sctrack.frames.FrameBoxes`, or iterable of
+            ``(id, BoundingBox)`` (extra trailing tuple elements are ignored,
+            so ground-truth file entries can be passed after filtering to the
+            evaluable rows).
+        results: map frame -> ``FrameBoxes`` or iterable of ``(id, BoundingBox)``.
+        iou_match_thresh: minimum IoU for a gt/hypothesis correspondence, in (0, 1].
+
+    Raises:
+        ValueError: if ``iou_match_thresh`` is NaN or outside (0, 1], if the
+            ground truth contains no boxes (the accuracy denominator would be
+            undefined), or if either input repeats an id within a frame (the
+            correspondence would be ambiguous; the message names both).
+    """
+    if not 0.0 < iou_match_thresh <= 1.0:
+        raise ValueError(f"iou_match_thresh must lie in (0, 1], got {iou_match_thresh}")
+    gt, all_gt = _dense_frames(gt, "ground truth")
+    results, all_hyp = _dense_frames(results, "results")
+    gt_count = len(all_gt)
+    if gt_count == 0:
+        raise ValueError("ground truth is empty; tracking accuracy is undefined")
+
+    fp = fn = idsw = tp = 0
+    active_pairs: dict[int, int] = {}
+    last_matched: dict[int, int] = {}
+    # every box pair whose IoU reaches the threshold, as row and column
+    # positions per frame plus the frame's offsets into the arrays of all
+    # ids, for IDF1
+    hit_rows, hit_cols, hit_offsets = [], [], []
+    none = (0, [], np.zeros((0, 4)))
+
+    for frame in sorted(set(gt) | set(results)):
+        gt_offset, gt_ids, gt_corners = gt.get(frame, none)
+        hyp_offset, hyp_ids, hyp_corners = results.get(frame, none)
+        iou_matrix = pairwise_iou(gt_corners, hyp_corners)
+        hits = iou_matrix >= iou_match_thresh
+        rows, cols = np.nonzero(hits)
+        hit_rows.append(rows)
+        hit_cols.append(cols)
+        hit_offsets.append((gt_offset, hyp_offset, len(rows)))
+
+        gt_index = {g: i for i, g in enumerate(gt_ids)}
+        hyp_index = {h: j for j, h in enumerate(hyp_ids)}
+
+        # keep last frame's pairs that still overlap well enough
+        kept: list[tuple[int, int]] = []
+        for g, h in active_pairs.items():
+            i, j = gt_index.get(g), hyp_index.get(h)
+            if i is not None and j is not None and hits[i, j]:
+                kept.append((g, h))
+        kept_gt = {g for g, _ in kept}
+        kept_hyp = {h for _, h in kept}
+
+        free_gt = [i for i, g in enumerate(gt_ids) if g not in kept_gt]
+        free_hyp = [j for j, h in enumerate(hyp_ids) if h not in kept_hyp]
+        costs = 1.0 - iou_matrix.take(free_gt, 0).take(free_hyp, 1)
+        solved = assignment.solve(costs, gate=1.0 - iou_match_thresh)
+        fresh = [(gt_ids[free_gt[r]], hyp_ids[free_hyp[c]]) for r, c in solved.matches]
+
+        pairs = kept + fresh
+        tp += len(pairs)
+        fp += len(hyp_ids) - len(pairs)
+        fn += len(gt_ids) - len(pairs)
+        for g, h in fresh:
+            if g in last_matched and last_matched[g] != h:
+                idsw += 1
+        for g, h in pairs:
+            last_matched[g] = h
+        active_pairs = dict(pairs)
+
+    mota = 1.0 - (fn + fp + idsw) / gt_count
+    gt_offsets, hyp_offsets, counts = np.array(hit_offsets).reshape(-1, 3).T
+    hit_gt = all_gt[np.concatenate(hit_rows) + np.repeat(gt_offsets, counts)]
+    hit_hyp = all_hyp[np.concatenate(hit_cols) + np.repeat(hyp_offsets, counts)]
+    idf1 = _dense_identity_f1(all_gt, all_hyp, hit_gt, hit_hyp)
+    return MetricsReport(
+        mota=mota, idf1=idf1, idsw=idsw, fp=fp, fn=fn, gt_count=gt_count, matches=tp
+    )
+
+
+def _dense_identity_f1(gt_ids, hyp_ids, hit_gt, hit_hyp) -> float:
+    """Global id-to-id matching score from every box's id and the id pair of
+    every box pair that overlaps enough."""
+    if not len(hyp_ids):
+        return 0.0
+    total = len(gt_ids) + len(hyp_ids)
+    g, len_g = np.unique(gt_ids, return_counts=True)
+    h, len_h = np.unique(hyp_ids, return_counts=True)
+    len_g, len_h = len_g.astype(np.float64), len_h.astype(np.float64)
+    n_g, n_h = len(len_g), len(len_h)
+    shared = np.zeros((n_g, n_h))
+    np.add.at(shared, (np.searchsorted(g, hit_gt), np.searchsorted(h, hit_hyp)), 1.0)
+
+    costs = np.full((n_g + n_h, n_h + n_g), float(total) * 10.0 + 10.0)
+    # frames where a pair disagrees: id-level FN plus FP
+    costs[:n_g, :n_h] = len_g[:, None] + len_h[None, :] - 2.0 * shared
+    np.fill_diagonal(costs[:n_g, n_h:], len_g)
+    np.fill_diagonal(costs[n_g:, :n_h], len_h)
+    costs[n_g:, n_h:] = 0.0
+
+    rows, cols = linear_sum_assignment(costs)
+    disagreement = float(costs[rows, cols].sum())
+    idtp = (total - disagreement) / 2.0
+    return 2.0 * idtp / total
 
 
 # --- MOT line format, one f-string per record ---------------------------------

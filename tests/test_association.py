@@ -4,8 +4,8 @@
 matrix; ``sparse=True`` costs only the overlapping pairs, once per frame.
 On frames without ties in the assignment (continuous random boxes) and with
 every gate below 1 they must give the same matches and the same births.
-The candidate kernel and the pair solver are checked on their own against
-``pairwise_iou`` and ``assignment.solve``.
+The candidate kernel, unkeyed and keyed, and the pair solver are checked on
+their own against ``pairwise_iou`` and ``assignment.solve``.
 """
 
 import numpy as np
@@ -118,6 +118,39 @@ def test_overlapping_pairs_keep_boxes_that_overlap_by_a_sliver():
     a = np.array([[7.097545355094286, 0.0, 17.0, 1.0]])
     assert pairwise_iou(a, b)[0, 0] > 0 and a[0, 0] - (b[0, 2] - b[0, 0]) > b[0, 0]
     rows, cols = overlapping_pairs(a, b)
+    assert (rows.tolist(), cols.tolist()) == ([0], [0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), m=st.integers(0, 40), n=st.integers(0, 40),
+    key_count=st.integers(1, 6), grid=st.booleans(),
+)
+def test_keyed_pairs_are_the_per_key_union_of_unkeyed_pairs(seed, m, n, key_count, grid):
+    rng = np.random.default_rng(seed)
+    a, b = random_corners(rng, m), random_corners(rng, n)
+    if grid:
+        # corners on a coarse grid, so window bounds tie with box edges
+        a, b = np.round(a / 20.0) * 20.0, np.round(b / 20.0) * 20.0
+        a[:, 2:], b[:, 2:] = np.maximum(a[:, 2:], a[:, :2] + 20.0), np.maximum(b[:, 2:], b[:, :2] + 20.0)
+    # keys need not be contiguous or shared by both sides
+    keys_a, keys_b = 3 * rng.integers(key_count, size=m), 3 * rng.integers(key_count, size=n)
+    rows, cols = overlapping_pairs(a, b, keys_a, keys_b)
+    found = list(zip(rows.tolist(), cols.tolist()))
+    assert (keys_a[rows] == keys_b[cols]).all()
+    assert rows.tolist() == sorted(rows.tolist())
+    expected = set()
+    for key in set(keys_a.tolist()):
+        in_a, in_b = np.flatnonzero(keys_a == key), np.flatnonzero(keys_b == key)
+        r, c = overlapping_pairs(a[in_a], b[in_b])
+        expected |= set(zip(in_a[r].tolist(), in_b[c].tolist()))
+    assert len(set(found)) == len(found) and set(found) == expected
+
+
+def test_keyed_pairs_keep_boxes_that_overlap_by_a_sliver():
+    b = np.array([[-9.914220815384828, 0.0, 7.097545355094287, 1.0], [0.0, 0.0, 20.0, 1.0]])
+    a = np.array([[7.097545355094286, 0.0, 17.0, 1.0]])
+    rows, cols = overlapping_pairs(a, b, np.array([4]), np.array([4, 5]))
     assert (rows.tolist(), cols.tolist()) == ([0], [0])
 
 

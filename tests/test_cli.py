@@ -52,6 +52,19 @@ class TestTrack:
         assert "rejected 2 row(s)" in caplog.text
         assert [line.split(",")[:2] for line in out.read_text().splitlines()] == [["1", "1"], ["2", "1"]]
 
+    def test_far_apart_extents_track_without_a_warning(self, tmp_path):
+        # accepted boxes whose enclosing rectangle's area overflows in the
+        # shape terms
+        rows = ["-1e160,0,1e145,1,0.9,-1,-1,-1", "0,1e160,1,1e145,0.9,-1,-1,-1"]
+        det = tmp_path / "det.txt"
+        det.write_text("".join(f"{frame},-1,{row}\n" for frame in (1, 2) for row in rows))
+        out = tmp_path / "res.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["track", "--detections", str(det), "--output", str(out)]) == 0
+        ids = [line.split(",")[:2] for line in out.read_text().splitlines()]
+        assert ids == [["1", "1"], ["1", "2"], ["2", "1"], ["2", "2"]]
+
     def test_missing_detections_file_fails_with_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.txt"
         code = main(["track", "--detections", str(missing), "--output", str(tmp_path / "r.txt")])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,17 @@ class TestShapeIoUDistance:
                 )
                 got = shape_iou_distance(b1, b2, use_height_term=height_term, use_area_term=area_term)
                 assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_far_apart_extents_give_the_limit_without_a_warning(self):
+        # the enclosing rectangle of these two boxes is about 1e160 x 1e160:
+        # its area overflows to inf, where the area term takes its limit 0
+        a = BoundingBox.from_tlwh(-1e160, 0, 1e145, 1)
+        b = BoundingBox.from_tlwh(0, 1e160, 1, 1e145)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full = shape_iou_distance(a, b)
+            assert full == shape_iou_distance(a, b, use_area_term=False)
+        assert np.isfinite(full)
 
 
 class TestCostMatrix:

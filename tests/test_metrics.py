@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sctrack.frames import FrameBoxes
 from sctrack.geometry import BoundingBox
 from sctrack.metrics import MetricsReport, evaluate
 
@@ -122,6 +123,19 @@ class TestDuplicateIds:
     def test_same_id_in_different_frames_is_fine(self):
         gt = {f: [(1, box(10 * f, 0))] for f in (1, 2)}
         assert evaluate(gt, gt).mota == 1.0
+
+    def test_the_first_repeating_frame_in_map_order_is_named(self):
+        b1, b2 = box(0, 0), box(300, 0)
+        results = {5: [(7, b1), (7, b2)], 2: [(8, b1), (8, b2)]}
+        with pytest.raises(ValueError, match=r"results frame 5 repeats id 7"):
+            evaluate({2: [(1, b1)]}, results)
+
+
+def test_boxes_whose_overlap_is_undefined_are_an_error():
+    # the corner-form width overflows to inf, so the IoU is inf / inf
+    huge = FrameBoxes(np.array([1]), np.array([[0.0, 0.0, 1e10, 1e300]]), np.ones(1))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="frame 3: the IoU .* is not a number"):
+        evaluate({3: huge}, {3: huge})
 
 
 class TestIouThreshold:
