@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import metrics, synth, tracker
+from .frames import frame_boxes
 from .metrics import MetricsReport
 from .tracker import TrackerConfig
 
@@ -103,12 +104,15 @@ def run_ablation(
     arms=COMPONENT_ARMS,
     base_config: TrackerConfig = TrackerConfig(),
 ) -> list[ArmSummary]:
-    """Run every arm over every (scenario, seed) pair with shared detections."""
+    """Run every arm over every (scenario, seed) pair with shared detections.
+
+    Each run's ground truth is converted to ``FrameBoxes`` once, for all arms.
+    """
     runs = []
     for name in scenario_names:
         for seed in seeds:
-            spec = synth.builtin_scenario(name, seed=seed)
-            runs.append(synth.generate(spec))
+            gt, detections = synth.generate(synth.builtin_scenario(name, seed=seed))
+            runs.append(({frame: frame_boxes(rows) for frame, rows in gt.items()}, detections))
 
     summaries = []
     for arm in arms:

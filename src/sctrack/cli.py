@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import re
-import statistics
 import sys
 import time
 
 from . import ablation, metrics, motio, synth
-from .tracker import CONFIG_SCHEMA, SCTracker, TrackerConfig
+from .tracker import CONFIG_SCHEMA, TrackerConfig, run_sequence
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,26 +161,14 @@ def _tracker_config(args) -> TrackerConfig:
 def cmd_track(args) -> int:
     config = _tracker_config(args)
     detections = motio.read_detections(args.detections)
-    if not detections:
-        results = []
-        frame_ms: list[float] = []
-    else:
-        frames = sorted(detections)
-        tracker = SCTracker(config)
-        results = []
-        frame_ms = []
-        for frame in range(frames[0], frames[-1] + 1):
-            start = time.perf_counter()
-            results.append(tracker.step(frame, detections.get(frame, [])))
-            frame_ms.append((time.perf_counter() - start) * 1000.0)
+    start = time.perf_counter()
+    results = run_sequence(detections, config)
+    seconds = time.perf_counter() - start
     motio.write_results(args.output, results)
     boxes = sum(len(r.boxes.ids) for r in results)
     print(f"tracked {len(results)} frame(s), wrote {boxes} box(es) to {args.output}")
-    if frame_ms:
-        print(
-            f"association time per frame: median {statistics.median(frame_ms):.2f} ms, "
-            f"mean {statistics.fmean(frame_ms):.2f} ms, max {max(frame_ms):.2f} ms"
-        )
+    if results:
+        print(f"tracking time: {seconds:.3f} s, {seconds * 1000.0 / len(results):.2f} ms per frame")
     return 0
 
 

@@ -145,10 +145,11 @@ TENTATIVE = -1
 # a track's status by ``min(misses, 1)``
 _STATUS = {TENTATIVE: TrackStatus.TENTATIVE, 0: TrackStatus.CONFIRMED, 1: TrackStatus.LOST}
 
-# live tracks x usable detections from which a frame costs only the
-# overlapping (track, detection) pairs: the candidate sweep and the pair
-# solver have the higher fixed cost, so on a 2-vCPU host they lost to the
-# dense stages at ~1,100 cells (32 crowd objects) and won from ~2,300 (48)
+# live tracks x usable detections from which a frame's candidate pairs come
+# from the overlap sweep rather than being all pairs: the sweep has the
+# higher fixed cost (on a 2-vCPU host it beat all pairs from a few hundred
+# cells of spread-out boxes); 2,000 keeps the two-object ablation frames on
+# all pairs and the 100-object crowd on the sweep
 SPARSE_MIN_CELLS = 2000
 
 
@@ -222,14 +223,7 @@ class SCTracker:
         measured = table[:, : kalman.MEASUREMENT_DIM]
         scores = table[:, 4]
         n_tracks = len(self.ids)
-        sparse = (
-            n_tracks * len(scores) >= SPARSE_MIN_CELLS
-            and max(cfg.match_gate_stage1, cfg.match_gate_stage2, cfg.match_gate_unconfirmed) < 1.0
-            and n_tracks * np.count_nonzero(scores >= cfg.low_thresh) >= SPARSE_MIN_CELLS
-        )
-        rows, cols, born = associate(
-            corners, misses, geometry.xyah_to_corners(measured), scores, cfg, sparse=sparse
-        )
+        rows, cols, born = associate(corners, self.misses, geometry.xyah_to_corners(measured), scores, cfg)
 
         # outputs come from matches, except on the first frame (no tracks to
         # match yet), where they are the births; rows ascend, and so do their ids
@@ -285,7 +279,7 @@ class SCTracker:
         return FrameResult(frame_index, outputs)
 
 
-def associate(track_corners, misses, det_corners, scores, config: TrackerConfig, *, sparse: bool):
+def associate(track_corners, misses, det_corners, scores, config: TrackerConfig):
     """One frame's three association stages.
 
     Takes the live tracks' predicted corner boxes ``(N, 4)`` with their
@@ -295,71 +289,41 @@ def associate(track_corners, misses, det_corners, scores, config: TrackerConfig,
     detection columns, sorted by row, and the unclaimed high-confidence
     detections confident enough to seed a track.
 
-    ``sparse`` costs only the pairs :func:`~sctrack.geometry.overlapping_pairs`
-    finds, once for all stages, and solves them with
-    :func:`~sctrack.assignment.solve_pairs`; each stage then takes its pairs by
-    mask.  That is exact only while every gate is below 1, since a pair that
-    does not overlap costs at least 1.  Otherwise each stage costs and solves
-    its dense matrix.
+    The candidate (track, usable detection) pairs are listed and costed
+    once, and each stage takes its pairs by mask and solves them with
+    :func:`~sctrack.assignment.solve_pairs`.  When live tracks x usable
+    detections reach :data:`SPARSE_MIN_CELLS` and every gate is below 1, the
+    candidates are the pairs :func:`~sctrack.geometry.overlapping_pairs`
+    finds (a pair that does not overlap costs at least 1, so no gate below 1
+    admits it); otherwise they are all pairs.  On exact cost ties a stage
+    may take another optimal matching than a dense solve of its matrix
+    would, as :func:`~sctrack.assignment.solve_pairs` says.
     """
-    if sparse:
-        return _associate_pairs(track_corners, np.asarray(misses) == TENTATIVE, det_corners, scores, config)
     cfg = config
-    scores = scores.tolist()
-    high = [j for j, s in enumerate(scores) if s >= cfg.high_thresh]
-    low = [j for j, s in enumerate(scores) if cfg.low_thresh <= s < cfg.high_thresh]
-
-    def stage(rows, cols, gate):
-        """Solve one stage; returns (matched row/col pairs, unmatched rows, unmatched cols)."""
-        if not rows or not cols:
-            return [], rows, cols
-        result = assignment.solve(
-            geometry.pairwise_shape_iou_distance(
-                track_corners if len(rows) == len(track_corners) else track_corners.take(rows, 0),
-                det_corners if len(cols) == len(det_corners) else det_corners.take(cols, 0),
-                use_height_term=cfg.use_height_term, use_area_term=cfg.use_area_term,
-            ),
-            gate,
-        )
-        return (
-            [(rows[r], cols[c]) for r, c in result.matches],
-            [rows[r] for r in result.unmatched_rows],
-            [cols[c] for c in result.unmatched_cols],
-        )
-
-    # stage 1: confirmed + lost tracks vs high-confidence detections
-    pool = [i for i, m in enumerate(misses) if m != TENTATIVE]
-    matched, remainder, high_left = stage(pool, high, cfg.match_gate_stage1)
-    # stage 2: leftover tracks vs low-confidence detections
-    matched += stage(remainder, low, cfg.match_gate_stage2)[0]
-    # stage 3: tentative tracks vs the high detections nobody claimed
-    pool = [i for i, m in enumerate(misses) if m == TENTATIVE]
-    matched3, _, high_left = stage(pool, high_left, cfg.match_gate_unconfirmed)
-    matched = sorted(matched + matched3)
-    return (
-        [r for r, _ in matched], [c for _, c in matched],
-        [j for j in high_left if scores[j] >= cfg.new_track_thresh],
-    )
-
-
-def _associate_pairs(track_corners, tentative, det_corners, scores, cfg):
-    """:func:`associate` over the overlapping pairs only."""
     usable = np.flatnonzero(scores >= cfg.low_thresh)
-    rows, cols = geometry.overlapping_pairs(track_corners, det_corners[usable])
+    n_tracks, n_usable = len(track_corners), len(usable)
+    if (
+        n_tracks * n_usable >= SPARSE_MIN_CELLS
+        and max(cfg.match_gate_stage1, cfg.match_gate_stage2, cfg.match_gate_unconfirmed) < 1.0
+    ):
+        rows, cols = geometry.overlapping_pairs(track_corners, det_corners[usable])
+    else:
+        rows, cols = np.divmod(np.arange(n_tracks * n_usable), n_usable)
     cols = usable[cols]
     costs = geometry.paired_shape_iou_distance(
         track_corners[rows], det_corners[cols],
         use_height_term=cfg.use_height_term, use_area_term=cfg.use_area_term,
     )
     high = scores >= cfg.high_thresh
-    pair_high, pair_tentative = high[cols], tentative[rows]
-    match = np.full(len(track_corners), -1)  # detection matched to each row
+    pair_high, pair_tentative = high[cols], (np.asarray(misses) == TENTATIVE)[rows]
+    match = np.full(n_tracks, -1)  # detection matched to each row
     claimed = np.zeros(len(scores), bool)
 
     def stage(pairs, gate):
-        r, c = assignment.solve_pairs(rows[pairs], cols[pairs], costs[pairs], gate)
-        match[r] = c
-        claimed[c] = True
+        if pairs.any():
+            r, c = assignment.solve_pairs(rows[pairs], cols[pairs], costs[pairs], gate)
+            match[r] = c
+            claimed[c] = True
 
     # stage 1: confirmed + lost tracks vs high; stage 2: their leftovers vs
     # low; stage 3: tentative tracks vs the high detections stage 1 left

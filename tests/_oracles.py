@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against the definitions, not against
 the library code: scalar arithmetic instead of vectorized numpy, exhaustive
-search instead of the Hungarian method, a plain per-frame event counter
-for the tracking metrics, the per-frame dense evaluator, line-at-a-time MOT
-file readers and the Kalman filter in its textbook dense 8x8 matrix form.  Slow but obviously correct.
+search instead of the Hungarian method, the frame association with one dense
+matrix per stage, a plain per-frame event counter for the tracking metrics,
+the per-frame dense evaluator, line-at-a-time MOT file readers and the Kalman
+filter in its textbook dense 8x8 matrix form.  Slow but obviously correct.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from sctrack import assignment
 from sctrack.frames import FrameBoxes, frame_boxes, repeated, split
-from sctrack.geometry import BoundingBox, Detection, pairwise_iou, xyah_to_corners
+from sctrack.geometry import BoundingBox, Detection, pairwise_iou, pairwise_shape_iou_distance, xyah_to_corners
 from sctrack.kalman import (
     _ASPECT_MEASUREMENT_STD,
     _ASPECT_STD,
@@ -30,6 +31,7 @@ from sctrack.kalman import (
 )
 from sctrack.metrics import MetricsReport
 from sctrack.motio import FIELD_COUNT, GroundTruthEntry, MotRecord, ParseError, ParseStats
+from sctrack.tracker import TENTATIVE
 
 
 # --- box overlap, scalar arithmetic ------------------------------------------
@@ -116,6 +118,53 @@ def enumerate_matching_ref(costs, gate):
                 if k > best[0] or (k == best[0] and total < best[1]):
                     best = (k, total)
     return best
+
+
+# --- frame association, one dense matrix per stage ---------------------------
+# The tracker's association before every stage ran on candidate pairs: each
+# stage costs and solves the dense matrix of its rows and columns.
+
+def dense_associate_ref(track_corners, misses, det_corners, scores, config):
+    """One frame's three association stages, each on its dense matrix.
+
+    Arguments and return value as :func:`sctrack.tracker.associate`.
+    """
+    cfg = config
+    scores = scores.tolist()
+    high = [j for j, s in enumerate(scores) if s >= cfg.high_thresh]
+    low = [j for j, s in enumerate(scores) if cfg.low_thresh <= s < cfg.high_thresh]
+
+    def stage(rows, cols, gate):
+        """Solve one stage; returns (matched row/col pairs, unmatched rows, unmatched cols)."""
+        if not rows or not cols:
+            return [], rows, cols
+        result = assignment.solve(
+            pairwise_shape_iou_distance(
+                track_corners if len(rows) == len(track_corners) else track_corners.take(rows, 0),
+                det_corners if len(cols) == len(det_corners) else det_corners.take(cols, 0),
+                use_height_term=cfg.use_height_term, use_area_term=cfg.use_area_term,
+            ),
+            gate,
+        )
+        return (
+            [(rows[r], cols[c]) for r, c in result.matches],
+            [rows[r] for r in result.unmatched_rows],
+            [cols[c] for c in result.unmatched_cols],
+        )
+
+    # stage 1: confirmed + lost tracks vs high-confidence detections
+    pool = [i for i, m in enumerate(misses) if m != TENTATIVE]
+    matched, remainder, high_left = stage(pool, high, cfg.match_gate_stage1)
+    # stage 2: leftover tracks vs low-confidence detections
+    matched += stage(remainder, low, cfg.match_gate_stage2)[0]
+    # stage 3: tentative tracks vs the high detections nobody claimed
+    pool = [i for i, m in enumerate(misses) if m == TENTATIVE]
+    matched3, _, high_left = stage(pool, high_left, cfg.match_gate_unconfirmed)
+    matched = sorted(matched + matched3)
+    return (
+        [r for r, _ in matched], [c for _, c in matched],
+        [j for j in high_left if scores[j] >= cfg.new_track_thresh],
+    )
 
 
 def _frame_matching(gt_rows, hyp_rows, kept_pairs, thresh):

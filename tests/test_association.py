@@ -1,9 +1,12 @@
-"""Differential tests: the sparse frame association against the dense stages.
+"""Differential tests: the frame association against the dense stages.
 
-``tracker.associate(..., sparse=False)`` costs and solves each stage's dense
-matrix; ``sparse=True`` costs only the overlapping pairs, once per frame.
-On frames without ties in the assignment (continuous random boxes) and with
-every gate below 1 they must give the same matches and the same births.
+``tracker.associate`` lists candidate (track, detection) pairs, costs them
+once and runs the three stages on them through the pair solver.
+``dense_associate_ref`` costs and solves each stage's dense matrix.  On
+frames without ties in the assignment (continuous random boxes) they must
+give the same matches and the same births, whether the candidates come from
+the overlap sweep (every gate below 1) or are all pairs.  On tie-heavy frames
+stage 1 must still take a matching of the dense optimum's size and cost.
 The candidate kernel, unkeyed and keyed, and the pair solver are checked on
 their own against ``pairwise_iou`` and ``assignment.solve``.
 """
@@ -23,8 +26,14 @@ from sctrack.geometry import (
 )
 from sctrack.tracker import TENTATIVE, SCTracker, TrackerConfig, associate
 
+from _oracles import dense_associate_ref
+
 # score bands of a frame's detections, against the default thresholds
 BANDS = {"mixed": (0.0, 1.0), "all_low": (0.1, 0.6), "all_high": (0.6, 1.0), "discarded": (0.0, 0.1)}
+
+# ``SPARSE_MIN_CELLS`` values that send every frame to one candidate
+# generator: the overlap sweep (when every gate is below 1), or all pairs
+GENERATORS = {"sweep": 0, "all pairs": 10**9}
 
 
 def random_corners(rng, n, canvas=(400.0, 250.0)):
@@ -58,6 +67,13 @@ def as_lists(result):
     return [np.asarray(part).tolist() for part in result]
 
 
+def associate_with(generator, *args):
+    """``associate`` with every frame on one candidate generator."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracker, "SPARSE_MIN_CELLS", GENERATORS[generator])
+        return associate(*args)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -80,15 +96,64 @@ def test_sparse_association_matches_the_dense_stages(
         match_gate_stage1=gates[0], match_gate_stage2=gates[1], match_gate_unconfirmed=gates[2],
         use_height_term=shape_terms, use_area_term=shape_terms,
     )
-    tracks, misses, dets, scores = frame(seed, n_tracks, n_dets, tentative_share, band)
-    dense = associate(tracks, misses, dets, scores, config, sparse=False)
-    sparse = associate(tracks, misses, dets, scores, config, sparse=True)
-    assert as_lists(sparse) == as_lists(dense)
+    args = frame(seed, n_tracks, n_dets, tentative_share, band) + (config,)
+    dense = as_lists(dense_associate_ref(*args))
+    for generator in GENERATORS:
+        assert as_lists(associate_with(generator, *args)) == dense, generator
 
 
-def test_gates_from_one_keep_the_dense_path():
-    # boxes side by side never overlap, so only the dense path can match
-    # them, and a stage-1 gate above 1 + shape terms lets it
+def grid_frame(seed, n_tracks, n_dets, copies):
+    """Tracks and detections on a coarse grid, with some boxes repeated, and
+    scores drawn from the three bands: a frame full of exact cost ties."""
+    rng = np.random.default_rng(seed)
+
+    def boxes(n):
+        xy = rng.integers(0, 5, (n, 2)) * 40.0
+        wh = rng.integers(1, 4, (n, 2)) * 40.0
+        corners = np.column_stack((xy, xy + wh))
+        repeat = rng.random(n) < copies
+        if n:
+            corners[repeat] = corners[rng.integers(n, size=int(repeat.sum()))]
+        return corners
+
+    tracks, dets = boxes(n_tracks), boxes(n_dets)
+    scores = rng.choice([0.05, 0.3, 0.65, 0.8], n_dets)
+    misses = np.where(rng.random(n_tracks) < 0.3, TENTATIVE, rng.integers(0, 3, n_tracks))
+    return tracks, misses, dets, scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_tracks=st.integers(0, 25),
+    n_dets=st.integers(0, 25),
+    copies=st.sampled_from([0.0, 0.3, 0.7]),
+    gate=st.floats(0.05, 2.5),
+    shape_terms=st.booleans(),
+)
+def test_stage_one_on_ties_takes_a_dense_optimum(seed, n_tracks, n_dets, copies, gate, shape_terms):
+    # on ties the pair solver may take another optimal matching than the
+    # dense solve, but never one of another size or another total cost
+    config = TrackerConfig(match_gate_stage1=gate, use_height_term=shape_terms, use_area_term=shape_terms)
+    tracks, misses, dets, scores = grid_frame(seed, n_tracks, n_dets, copies)
+    pool = np.flatnonzero(misses != TENTATIVE)
+    high = np.flatnonzero(scores >= config.high_thresh)
+    costs = pairwise_shape_iou_distance(
+        tracks[pool], dets[high], use_height_term=shape_terms, use_area_term=shape_terms
+    )
+    expected = assignment.solve(costs, gate).matches
+    expected_cost = sum(costs[r, c] for r, c in expected)
+    cost_of = dict(zip(((i, j) for i in pool.tolist() for j in high.tolist()), costs.ravel().tolist()))
+    for generator in GENERATORS:
+        rows, cols, _ = associate_with(generator, tracks, misses, dets, scores, config)
+        stage1 = [pair for pair in zip(rows.tolist(), cols.tolist()) if pair in cost_of]
+        assert len(stage1) == len(expected), generator
+        assert sum(cost_of[pair] for pair in stage1) == pytest.approx(expected_cost, rel=0, abs=1e-12), generator
+
+
+def test_gates_from_one_take_all_pairs():
+    # boxes side by side never overlap, so only all-pairs candidates can
+    # match them, and a stage-1 gate above 1 + shape terms lets them
     config = TrackerConfig(match_gate_stage1=2.5)
     n = int(np.sqrt(tracker.SPARSE_MIN_CELLS)) + 1
     left = np.column_stack((np.arange(n) * 100.0, np.zeros(n), np.full(n, 0.5), np.full(n, 80.0), np.full(n, 0.9)))

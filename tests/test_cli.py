@@ -31,7 +31,7 @@ class TestTrack:
         frames = [int(line.split(",")[0]) for line in out.read_text().strip().splitlines()]
         assert frames == sorted(frames) and frames
         printed = capsys.readouterr().out
-        assert "median" in printed and "ms" in printed
+        assert "tracking time: " in printed and " ms per frame" in printed
 
     def test_zero_area_detections_are_rejected(self, tmp_path, capsys):
         det = tmp_path / "det.txt"
@@ -64,6 +64,16 @@ class TestTrack:
             assert main(["track", "--detections", str(det), "--output", str(out)]) == 0
         ids = [line.split(",")[:2] for line in out.read_text().splitlines()]
         assert ids == [["1", "1"], ["1", "2"], ["2", "1"], ["2", "2"]]
+
+    def test_tracking_failure_is_an_error_line(self, tmp_path, scenario_dir, monkeypatch, capsys):
+        def failing_step(self, frame_index, detections):
+            raise ValueError("state went bad")
+
+        monkeypatch.setattr(tracker.SCTracker, "step", failing_step)
+        out = tmp_path / "res.txt"
+        assert main(["track", "--detections", scenario_dir["det"], "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: tracking failed at frame 1: state went bad\n"
+        assert not out.exists()
 
     def test_missing_detections_file_fails_with_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.txt"

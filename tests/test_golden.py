@@ -49,8 +49,7 @@ def test_tracker_reproduces_golden_outputs(golden):
 
 
 def test_sparse_association_reproduces_golden_outputs(golden, monkeypatch):
-    # every frame, whatever its size, costs only the overlapping pairs
-    # (every pinned run keeps its gates below 1, where that path is exact)
-    associate = tracker.associate
-    monkeypatch.setattr(tracker, "associate", lambda *args, sparse: associate(*args, sparse=True))
+    # every frame, whatever its size, takes its candidates from the overlap
+    # sweep (every pinned run keeps its gates below 1, where the sweep is used)
+    monkeypatch.setattr(tracker, "SPARSE_MIN_CELLS", 0)
     assert_reproduces(golden)
