@@ -82,10 +82,12 @@ def _first(mask) -> int:
 
 
 def _parse_rows(path, line_nos, lines: list[str]):
-    """Parse stripped non-blank lines into an ``(n, 10)`` float64 block.
+    """Parse stripped non-blank lines into an ``(n, 10)`` float64 block, one
+    ``float`` per field.
 
-    Returns the block of the rows before the first malformed line and the
-    ParseError for that line, or None when every line parses.
+    Returns the block of the rows before the first line with another field
+    count or a non-numeric field, and the ParseError for that line, or None
+    when every line parses.
     """
     counts = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
     n = _first(counts != FIELD_COUNT - 1)
@@ -98,18 +100,6 @@ def _parse_rows(path, line_nos, lines: list[str]):
         n = next(i for i, line in enumerate(lines) if not _numeric(line))
         error = ParseError(path, int(line_nos[n]), f"non-numeric field in row: {lines[n]!r}")
         block = _float_block(lines[:n])
-    keys = block[:, :2]
-    integral = (np.isfinite(keys) & (np.floor(keys) == keys)).all(axis=1)
-    # from 2**53 on, neighbouring integers parse to the same float64
-    exact = (np.abs(keys) < 2**53).all(axis=1)
-    if not (integral & exact).all():
-        n = _first(~(integral & exact))
-        fields = lines[n].split(",")
-        rule = "be integral" if not integral[n] else "lie below 2**53 in magnitude"
-        error = ParseError(
-            path, int(line_nos[n]), f"frame and id must {rule}, got {fields[0]!r}, {fields[1]!r}"
-        )
-        block = block[:n]
     return block, error
 
 
@@ -130,24 +120,75 @@ def _numeric(line: str) -> bool:
     return True
 
 
+# ASCII separators that numpy's number parser skips as whitespace and float() refuses
+_FLOAT_REFUSED = "\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt_block(chunk: list[str]):
+    """numpy's C parse of raw lines as an ``(n, 10)`` float64 block, or None
+    unless every line is ten numeric fields that ``float`` reads the same.
+
+    Chunks with another field count or a field only ``float`` accepts
+    (``1_0``, non-ASCII digits) go to :func:`_parse_rows`, and so do chunks
+    with an empty line, which the parser would skip (warning when no row is
+    left) after parsing the rest for nothing.
+    """
+    if "\n" in chunk:
+        return None
+    try:
+        block = np.loadtxt(chunk, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape != (len(chunk), FIELD_COUNT) or any(map("".join(chunk).__contains__, _FLOAT_REFUSED)):
+        return None
+    return block
+
+
+def _checked_keys(path, line_nos, lines: list[str], block: np.ndarray):
+    """The rows of a block before the first whose frame or id is not an
+    integer of magnitude below 2**53 (so exact in float64), and the ParseError
+    for that row, or None; the error quotes the fields of its stripped line."""
+    keys = block[:, :2]
+    integral = (np.isfinite(keys) & (np.floor(keys) == keys)).all(axis=1)
+    # from 2**53 on, neighbouring integers parse to the same float64
+    exact = (np.abs(keys) < 2**53).all(axis=1)
+    if (integral & exact).all():
+        return block, None
+    n = _first(~(integral & exact))
+    fields = lines[n].strip().split(",")
+    rule = "be integral" if not integral[n] else "lie below 2**53 in magnitude"
+    return block[:n], ParseError(
+        path, int(line_nos[n]), f"frame and id must {rule}, got {fields[0]!r}, {fields[1]!r}"
+    )
+
+
 def _read_rows(path):
     """Yield ``(line_nos, block)`` for the non-blank lines of a file, in chunks.
 
     ``block`` is an ``(n, 10)`` float64 array whose frame and id columns
     hold integers of magnitude below 2**53 (so each is exact); ``line_nos``
-    holds the 1-based line number of each row.  At the first malformed line
-    the rows before it are yielded and then ParseError is raised (never a
-    bare decode/conversion error), so arbitrary bytes are tolerated up to
-    that point.  At most :data:`CHUNK_LINES` lines are held at once.
+    holds the 1-based line number of each row.  Each chunk goes through
+    numpy's C parser, and through :func:`_parse_rows` when that declines it.
+    At the first malformed line the rows before it are yielded and then
+    ParseError is raised (never a bare decode/conversion error), so arbitrary
+    bytes are tolerated up to that point.  At most :data:`CHUNK_LINES` lines
+    are held at once.
     """
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
             read = 0
             while chunk := list(islice(fh, CHUNK_LINES)):
-                stripped = list(map(str.strip, chunk))
-                line_nos = np.flatnonzero(np.fromiter(map(bool, stripped), bool, len(stripped))) + read + 1
+                block = _loadtxt_block(chunk)
+                if block is None:
+                    stripped = list(map(str.strip, chunk))
+                    line_nos = np.flatnonzero(np.fromiter(map(bool, stripped), bool, len(stripped))) + read + 1
+                    lines = list(filter(None, stripped))
+                    block, error = _parse_rows(path, line_nos, lines)
+                else:
+                    line_nos, lines, error = np.arange(read + 1, read + len(chunk) + 1), chunk, None
                 read += len(chunk)
-                block, error = _parse_rows(path, line_nos, list(filter(None, stripped)))
+                block, key_error = _checked_keys(path, line_nos, lines, block)
+                error = key_error or error  # a key error lies before any structural one
                 if len(block):
                     yield line_nos[: len(block)], block
                 if error is not None:

@@ -147,10 +147,13 @@ _STATUS = {TENTATIVE: TrackStatus.TENTATIVE, 0: TrackStatus.CONFIRMED, 1: TrackS
 
 # live tracks x usable detections from which a frame's candidate pairs come
 # from the overlap sweep rather than being all pairs: the sweep has the
-# higher fixed cost (on a 2-vCPU host it beat all pairs from a few hundred
-# cells of spread-out boxes); 2,000 keeps the two-object ablation frames on
-# all pairs and the 100-object crowd on the sweep
-SPARSE_MIN_CELLS = 2000
+# higher fixed cost.  Timing `associate` on a 2-vCPU host (pedestrian-sized
+# boxes, tracks 3 px off their detections), the sweep cost 1.1-1.35x all
+# pairs up to ~200 cells, drew level at ~400-500 (crowded boxes: 1.04x at
+# 484; boxes spread over 1920x1080: 0.99x) and won from ~600 (0.96x and
+# 0.91x at 625, 0.72x and 0.58x at 2,025).  The ablation's frames (at most
+# 18 cells) stay on all pairs, the 50- and 100-object streams on the sweep.
+SPARSE_MIN_CELLS = 600
 
 
 class SCTracker:

@@ -4,11 +4,14 @@ Generated files mix valid rows with every irregularity the readers check:
 blank lines, CRLF and CR endings, wrong field counts, non-numeric fields,
 non-finite values in any column, non-integral or huge frame/id values,
 non-positive sizes or corner-form areas, repeated (frame, id) pairs and out-of-range confidences.
+Some field texts are read differently by ``float`` and by numpy's C parser,
+which the readers try first on each chunk, so both parse paths are compared.
 Each file is read with a chunk size drawn from a few small values and the
 default, so rows, checks and errors that straddle chunk boundaries are
 compared too.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,8 +19,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sctrack import motio
+from sctrack import motio, synth
 from sctrack.motio import FIELD_COUNT, ParseError
+from sctrack.tracker import run_sequence
 
 from _oracles import iter_records_ref, read_ground_truth_ref, read_results_ref, scan_detections_ref
 
@@ -26,17 +30,24 @@ from _oracles import iter_records_ref, read_ground_truth_ref, read_results_ref, 
 # integers on either side of 2**53
 KEY_FAULTS = ["1.5", "-0.5", "1e20", "-1e20", "-0", "0", "-1", " 2 ", "2.0", "nan", "inf",
               "9007199254740991", "9007199254740992", "-9007199254740993"]
+# texts in every column that tell numpy's C parser from ``float``: non-ASCII
+# digits (only ``float`` reads them), an ASCII separator (only the C parser
+# skips it), a NUL, Unicode whitespace, overflow, a comment mark and quotes
+PARSER_FAULTS = ["\u0661", "1\x00", "\xa01", "1e400", "10#x", '"1"', "1\x1c"]
 FAULTS = [
-    KEY_FAULTS,  # frame
-    KEY_FAULTS,  # id
-    ["nan", "inf", "-inf", "1e300", "-1e300", "abc"],  # bb_left
-    ["nan", "inf", "-inf", "1e300", "-1e300", ""],  # bb_top
-    ["0", "-0", "-5.00", "nan", "inf", "1e300", "1e-300", "1_0"],  # bb_width
-    ["0", "-0", "-5.00", "nan", "inf", "1e300", "1e-300", "1_0"],  # bb_height
-    ["-0.2", "1.5", "-0.0", "0", "nan", "inf", "-inf"],  # conf
-    ["nan", "inf", "0"],
-    ["nan", "inf", "0"],
-    ["nan", "inf", "x"],
+    column + PARSER_FAULTS
+    for column in [
+        KEY_FAULTS,  # frame
+        KEY_FAULTS,  # id
+        ["nan", "inf", "-inf", "1e300", "-1e300", "abc"],  # bb_left
+        ["nan", "inf", "-inf", "1e300", "-1e300", ""],  # bb_top
+        ["0", "-0", "-5.00", "nan", "inf", "1e300", "1e-300", "1_0"],  # bb_width
+        ["0", "-0", "-5.00", "nan", "inf", "1e300", "1e-300", "1_0"],  # bb_height
+        ["-0.2", "1.5", "-0.0", "0", "nan", "inf", "-inf"],  # conf
+        ["nan", "inf", "0"],
+        ["nan", "inf", "0"],
+        ["nan", "inf", "x"],
+    ]
 ]
 
 # valid rows; small frame/id ranges make repeated pairs likely
@@ -58,13 +69,15 @@ def faulty_rows(draw):
     for _ in range(draw(st.integers(1, 2))):
         column = draw(st.integers(0, FIELD_COUNT - 1))
         fields[column] = draw(st.sampled_from(FAULTS[column]))
-    shape = draw(st.sampled_from(["ok"] * 12 + ["short", "long", "extreme"]))
+    shape = draw(st.sampled_from(["ok"] * 12 + ["short", "long", "extreme", "form feed"]))
     if shape == "short":
         fields = fields[: draw(st.integers(1, FIELD_COUNT - 1))]
     elif shape == "long":
         fields.append("-1")
     elif shape == "extreme":  # finite positive sizes whose aspect over- or underflows
         fields[4:6] = draw(st.permutations(["1e-300", draw(st.sampled_from(["1e300", "1e20"]))]))
+    elif shape == "form feed":  # whitespace that ends no line
+        fields[-1] += "\x0c"
     return draw(st.sampled_from(["", " ", "\t"])) + ",".join(fields)
 
 
@@ -184,3 +197,32 @@ def test_readers_match_line_readers(tmp_path, drawn):
 @pytest.mark.parametrize("read,reference,collect", READERS)
 def test_missing_file_matches_line_reader(tmp_path, read, reference, collect):
     assert_same(read, reference, collect, tmp_path / "absent.txt")
+
+
+def test_written_results_take_the_c_parser(tmp_path):
+    """A clean file never reaches the ``float`` path, whatever its chunking."""
+    _, detections = synth.generate(synth.builtin_scenario("crossing_distinct_shape"))
+    path = tmp_path / "result.txt"
+    motio.write_results(path, run_sequence(detections))
+    expected = [outcome(read_results_ref, path), records(iter_records_ref, path)]
+    assert expected[1][0] and expected[1][1] is None
+    refused = mock.Mock(side_effect=AssertionError("float path taken"))
+    for chunk in (7, motio.CHUNK_LINES):
+        with mock.patch.object(motio, "_float_block", refused), mock.patch.object(motio, "CHUNK_LINES", chunk):
+            assert repr([outcome(motio.read_results, path), records(motio.iter_records, path)]) == repr(expected)
+
+
+def test_underscored_digits_still_read(tmp_path):
+    path = tmp_path / "mot.txt"
+    path.write_text(f"{ROW}\n1,2,10.00,20.00,1_0,40.00,0.9000,-1,-1,-1\n{ROW}\n")
+    (_, first), (_, second), _ = motio.iter_records(path)
+    assert second.bb_width == 10.0 and first.bb_width == 30.0
+
+
+def test_blank_chunks_raise_no_warning(tmp_path):
+    path = tmp_path / "mot.txt"
+    path.write_text("\n\n  \n" + f"{ROW}\n\n\n\t\n" + ROW.replace("1,1", "2,1", 1) + "\n\n\n")
+    with warnings.catch_warnings(), mock.patch.object(motio, "CHUNK_LINES", 1):
+        warnings.simplefilter("error")
+        for read, reference, collect in READERS:
+            assert_same(read, reference, collect, path)
