@@ -61,17 +61,19 @@ def detection_block(detections) -> np.ndarray:
     """Detections as one checked ``(n, 5)`` float64 block ``[x, y, a, h, score]``.
 
     Takes such a block, or an iterable of :class:`Detection` (any other item
-    raises TypeError).  A block is checked once with masks: a row that a
-    ``Detection`` could not hold (non-finite field, ``a <= 0``, ``h <= 0``,
-    score outside [0, 1]) raises the ValueError that building one raises.
+    raises TypeError).  A block is checked as a whole first: the first row
+    that a ``Detection`` could not hold (non-finite field, ``a <= 0``,
+    ``h <= 0``, score outside [0, 1]) raises the ValueError building one raises.
     """
     if isinstance(detections, np.ndarray):
         block = np.asarray(detections, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] != DETECTION_COLUMNS:
             raise ValueError(f"detection block must have shape (n, {DETECTION_COLUMNS}), got {block.shape}")
         score = block[:, 4]
-        ok = np.isfinite(block).all(axis=1) & (block[:, 2:4] > 0).all(axis=1) & (score >= 0) & (score <= 1)
-        if not ok.all():
+        if len(block) and not (
+            np.isfinite(block).all() and block[:, 2:4].min() > 0 and score.min() >= 0 and score.max() <= 1
+        ):
+            ok = np.isfinite(block).all(axis=1) & (block[:, 2:4] > 0).all(axis=1) & (score >= 0) & (score <= 1)
             x, y, a, h, s = block[int(np.argmin(ok))].tolist()
             Detection(BoundingBox(x, y, a, h), s)  # raises, naming the fields
         return block

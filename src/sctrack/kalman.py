@@ -135,26 +135,27 @@ def batch_update(
     pos_gain = pos_var / innovation_var
     rate_gain = cross / innovation_var
     innovation = measurements - mean[:, :MEASUREMENT_DIM]
-    position = mean[:, :MEASUREMENT_DIM] + pos_gain * innovation
+    new_mean = np.empty(mean.shape)
+    np.add(mean[:, :MEASUREMENT_DIM], pos_gain * innovation, out=new_mean[:, :MEASUREMENT_DIM])
     rate = mean[:, MEASUREMENT_DIM:] + rate_gain * innovation
     if use_velocity_blend:
         weight = scores[:, None]
         rate = weight * rate + (1.0 - weight) * mean[:, MEASUREMENT_DIM:]
+    new_mean[:, MEASUREMENT_DIM:] = rate
 
     # Joseph form per axis: (I - KH) S (I - KH)' + K R K', I - KH = [[1 - pos_gain, 0], [-rate_gain, 1]]
     pos_keep, pos_gain_noise = 1.0 - pos_gain, pos_gain * noise
-    new_covariance = np.stack((
-        pos_keep * pos_keep * pos_var + pos_gain * pos_gain_noise,
-        pos_keep * (cross - rate_gain * pos_var) + rate_gain * pos_gain_noise,
-        rate_var - 2.0 * rate_gain * cross + rate_gain * rate_gain * innovation_var,
-    ), axis=1)
-    return np.concatenate([position, rate], axis=1), new_covariance
+    new_covariance = np.empty(covariance.shape)
+    np.add(pos_keep * pos_keep * pos_var, pos_gain * pos_gain_noise, out=new_covariance[:, 0])
+    np.add(pos_keep * (cross - rate_gain * pos_var), rate_gain * pos_gain_noise, out=new_covariance[:, 1])
+    np.add(rate_var - 2.0 * rate_gain * cross, rate_gain * rate_gain * innovation_var, out=new_covariance[:, 2])
+    return new_mean, new_covariance
 
 
 def valid_rows(mean: np.ndarray) -> np.ndarray:
     """Mask of the rows whose box is finite with positive height and aspect ratio."""
     box = mean[:, :MEASUREMENT_DIM]
-    return (box[:, 2] > 0) & (box[:, 3] > 0) & np.isfinite(box).all(axis=1)
+    return (np.minimum(box[:, 2], box[:, 3]) > 0) & np.logical_and.reduce(np.isfinite(box), axis=1)
 
 
 def batch_project(mean: np.ndarray):

@@ -231,7 +231,7 @@ class SCTracker:
         # outputs come from matches, except on the first frame (no tracks to
         # match yet), where they are the births; rows ascend, and so do their ids
         outputs = NO_BOXES
-        dropped = []  # rows whose update left a state that is no box
+        dropped = np.zeros(0, np.intp)  # rows whose update left a state that is no box
         if len(rows):
             matched_scores = scores.take(cols)
             everyone = len(rows) == n_tracks  # every row matched, in order
@@ -251,7 +251,7 @@ class SCTracker:
                 ids = self.ids.take(rows)
             ok = kalman.valid_rows(means)
             if False in ok.tolist():
-                dropped = np.asarray(rows)[~ok]
+                dropped = rows[~ok]
                 ids, means, matched_scores = ids[ok], means[ok], matched_scores[ok]
             outputs = FrameBoxes(ids, means[:, : kalman.MEASUREMENT_DIM], matched_scores)
 
@@ -293,48 +293,65 @@ def associate(track_corners, misses, det_corners, scores, config: TrackerConfig)
     detections confident enough to seed a track.
 
     The candidate (track, usable detection) pairs are listed and costed
-    once, and each stage takes its pairs by mask and solves them with
-    :func:`~sctrack.assignment.solve_pairs`.  When live tracks x usable
-    detections reach :data:`SPARSE_MIN_CELLS` and every gate is below 1, the
-    candidates are the pairs :func:`~sctrack.geometry.overlapping_pairs`
-    finds (a pair that does not overlap costs at least 1, so no gate below 1
-    admits it); otherwise they are all pairs.  On exact cost ties a stage
-    may take another optimal matching than a dense solve of its matrix
-    would, as :func:`~sctrack.assignment.solve_pairs` says.
+    once (ValueError unless every cost is finite and non-negative).  When
+    live tracks x usable detections reach :data:`SPARSE_MIN_CELLS` and every
+    gate is below 1, the candidates are the pairs
+    :func:`~sctrack.geometry.overlapping_pairs` finds (a pair that does not
+    overlap costs at least 1, so no gate below 1 admits it); otherwise they
+    are all pairs.  One pass keeps each pair within its stage's gate and
+    matches every kept pair that shares neither its track nor its detection
+    with another; the stages solve the rest with
+    :func:`~sctrack.assignment.solve_pairs`, which on exact cost ties may
+    take another optimal matching than a dense solve.
     """
     cfg = config
-    usable = np.flatnonzero(scores >= cfg.low_thresh)
+    usable = (scores >= cfg.low_thresh).nonzero()[0]
     n_tracks, n_usable = len(track_corners), len(usable)
     if (
         n_tracks * n_usable >= SPARSE_MIN_CELLS
         and max(cfg.match_gate_stage1, cfg.match_gate_stage2, cfg.match_gate_unconfirmed) < 1.0
     ):
-        rows, cols = geometry.overlapping_pairs(track_corners, det_corners[usable])
+        rows, cols = geometry.overlapping_pairs(track_corners, det_corners.take(usable, 0))
     else:
         rows, cols = np.divmod(np.arange(n_tracks * n_usable), n_usable)
-    cols = usable[cols]
+    cols = usable.take(cols)
     costs = geometry.paired_shape_iou_distance(
-        track_corners[rows], det_corners[cols],
+        track_corners.take(rows, 0), det_corners.take(cols, 0),
         use_height_term=cfg.use_height_term, use_area_term=cfg.use_area_term,
     )
-    high = scores >= cfg.high_thresh
-    pair_high, pair_tentative = high[cols], (np.asarray(misses) == TENTATIVE)[rows]
+    if not (costs.min(initial=0.0) >= 0.0 and costs.max(initial=0.0) < np.inf):
+        raise ValueError("pair costs must be finite and non-negative")
+    # a pair's stage is 2 * tentative + low band: 0-2 are stages 1-3, and the
+    # gate of 3 (tentative x low, in no stage) admits no cost
+    stage = (2 * (np.asarray(misses) == TENTATIVE)).take(rows) + (scores < cfg.high_thresh).take(cols)
+    gates = np.array([cfg.match_gate_stage1, cfg.match_gate_stage2, cfg.match_gate_unconfirmed, -1.0])
+    kept = (costs <= gates.take(stage)).nonzero()[0]
     match = np.full(n_tracks, -1)  # detection matched to each row
     claimed = np.zeros(len(scores), bool)
+    # a lone kept pair is alone in its stage, and no other stage touches its
+    # track or detection, so its stage would match it as it is
+    kept_rows, kept_cols = rows.take(kept), cols.take(kept)
+    lone = (np.bincount(kept_rows).take(kept_rows) == 1) & (np.bincount(kept_cols).take(kept_cols) == 1)
+    if not lone.all():
+        contested = kept[~lone]
+        rows, cols, costs, stage = (part.take(contested) for part in (rows, cols, costs, stage))
 
-    def stage(pairs, gate):
-        if pairs.any():
-            r, c = assignment.solve_pairs(rows[pairs], cols[pairs], costs[pairs], gate)
-            match[r] = c
-            claimed[c] = True
+        def solve(pairs, gate):
+            if pairs.any():
+                r, c = assignment.solve_pairs(rows[pairs], cols[pairs], costs[pairs], gate)
+                match[r] = c
+                claimed[c] = True
 
-    # stage 1: confirmed + lost tracks vs high; stage 2: their leftovers vs
-    # low; stage 3: tentative tracks vs the high detections stage 1 left
-    stage(~pair_tentative & pair_high, cfg.match_gate_stage1)
-    stage(~pair_tentative & ~pair_high & (match[rows] < 0), cfg.match_gate_stage2)
-    stage(pair_tentative & pair_high & ~claimed[cols], cfg.match_gate_unconfirmed)
-    matched = np.flatnonzero(match >= 0)
-    return matched, match[matched], np.flatnonzero(high & ~claimed & (scores >= cfg.new_track_thresh))
+        # stage 1: confirmed + lost tracks vs high; stage 2: their leftovers
+        # vs low; stage 3: tentative tracks vs the high detections stage 1 left
+        solve(stage == 0, cfg.match_gate_stage1)
+        solve((stage == 1) & (match.take(rows) < 0), cfg.match_gate_stage2)
+        solve((stage == 2) & ~claimed.take(cols), cfg.match_gate_unconfirmed)
+        kept_rows, kept_cols = kept_rows[lone], kept_cols[lone]
+    match[kept_rows], claimed[kept_cols] = kept_cols, True
+    matched = (match >= 0).nonzero()[0]
+    seeds = (scores >= max(cfg.high_thresh, cfg.new_track_thresh)) & ~claimed
+    return matched, match.take(matched), seeds.nonzero()[0]
 
 
 def run_sequence(detections_by_frame, config: TrackerConfig = TrackerConfig()) -> list[FrameResult]:

@@ -6,6 +6,8 @@ search instead of the Hungarian method, the frame association with one dense
 matrix per stage, a plain per-frame event counter for the tracking metrics,
 the per-frame dense evaluator, line-at-a-time MOT file readers and the Kalman
 filter in its textbook dense 8x8 matrix form.  Slow but obviously correct.
+The block filter update with stacked outputs is kept as it stood, to pin the
+kernel's bits.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from sctrack import assignment
+from sctrack import assignment, kalman
 from sctrack.frames import FrameBoxes, frame_boxes, repeated, split
 from sctrack.geometry import BoundingBox, Detection, pairwise_iou, pairwise_shape_iou_distance, xyah_to_corners
 from sctrack.kalman import (
@@ -546,6 +548,39 @@ def read_results_ref(path):
         )
         for frame, rows in sorted(by_frame.items())
     }
+
+
+# --- Kalman filter update, per-axis blocks with stacked outputs ---------------
+# The block update as it stood before it wrote into preallocated outputs: the
+# covariance rows are stacked and the mean halves concatenated.  The kernel
+# must give the same bits, so it is compared with array_equal, not a tolerance.
+
+def stacked_update_ref(
+    mean: np.ndarray, covariance: np.ndarray, measurements: np.ndarray, scores: np.ndarray,
+    *, use_confidence_noise: bool = True, use_velocity_blend: bool = True,
+):
+    """Arguments and return value as :func:`sctrack.kalman.batch_update`."""
+    scores = np.asarray(scores, dtype=np.float64)
+    noise = kalman._measurement_variances(mean[:, 3], scores, use_confidence_noise)
+    pos_var, cross, rate_var = covariance.transpose(1, 0, 2).copy()
+
+    innovation_var = pos_var + noise
+    pos_gain = pos_var / innovation_var
+    rate_gain = cross / innovation_var
+    innovation = measurements - mean[:, :MEASUREMENT_DIM]
+    position = mean[:, :MEASUREMENT_DIM] + pos_gain * innovation
+    rate = mean[:, MEASUREMENT_DIM:] + rate_gain * innovation
+    if use_velocity_blend:
+        weight = scores[:, None]
+        rate = weight * rate + (1.0 - weight) * mean[:, MEASUREMENT_DIM:]
+
+    pos_keep, pos_gain_noise = 1.0 - pos_gain, pos_gain * noise
+    new_covariance = np.stack((
+        pos_keep * pos_keep * pos_var + pos_gain * pos_gain_noise,
+        pos_keep * (cross - rate_gain * pos_var) + rate_gain * pos_gain_noise,
+        rate_var - 2.0 * rate_gain * cross + rate_gain * rate_gain * innovation_var,
+    ), axis=1)
+    return np.concatenate([position, rate], axis=1), new_covariance
 
 
 # --- Kalman filter, dense 8x8 matrices ----------------------------------------

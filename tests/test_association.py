@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sctrack import assignment, tracker
+from sctrack import assignment, geometry, tracker
 from sctrack.geometry import (
     overlapping_pairs,
     paired_shape_iou_distance,
@@ -45,9 +45,15 @@ def random_corners(rng, n, canvas=(400.0, 250.0)):
     return xyah_to_corners(xyah)
 
 
-def frame(seed, n_tracks, n_dets, tentative_share, band):
+def frame(seed, n_tracks, n_dets, tentative_share, band, contention=None):
     """Tracks with their ``misses``, and detections of which about half
-    jitter a track's box."""
+    jitter a track's box.
+
+    ``contention`` plants pairs that compete across stages: "both_bands"
+    gives confirmed track 0 a near detection in each score band, and
+    "shared_high" puts confirmed track 0 and tentative track 1 on the same
+    box with a high detection near both.
+    """
     rng = np.random.default_rng(seed)
     tracks = random_corners(rng, n_tracks)
     dets = random_corners(rng, n_dets)
@@ -60,6 +66,15 @@ def frame(seed, n_tracks, n_dets, tentative_share, band):
     lo, hi = BANDS[band]
     scores = rng.uniform(lo, hi, n_dets)
     misses = np.where(rng.random(n_tracks) < tentative_share, TENTATIVE, rng.integers(0, 4, n_tracks))
+    if contention and n_tracks >= 2 and n_dets >= 2:
+        misses[0] = 0
+        dets[:2] = tracks[0] + rng.normal(0.0, 2.0, (2, 4))
+        if contention == "both_bands":
+            scores[:2] = rng.uniform(0.6, 1.0), rng.uniform(0.1, 0.6)
+        else:
+            misses[1] = TENTATIVE
+            tracks[1] = tracks[0] + rng.normal(0.0, 2.0, 4)
+            scores[:2] = rng.uniform(0.7, 1.0, 2)
     return tracks, misses, dets, scores
 
 
@@ -74,6 +89,11 @@ def associate_with(generator, *args):
         return associate(*args)
 
 
+# gates of 1 or more send every frame to all pairs; the shape terms keep
+# the costs of non-overlapping pairs apart (without them each costs exactly 1)
+WIDE_GATES = (0.9, 1.5, 1.5)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -83,23 +103,60 @@ def associate_with(generator, *args):
     band=st.sampled_from(sorted(BANDS)),
     gates=st.tuples(*[st.floats(0.05, 0.99)] * 3),
     shape_terms=st.booleans(),
+    contention=st.sampled_from([None, "both_bands", "shared_high"]),
 )
-@example(seed=1, n_tracks=0, n_dets=12, tentative_share=0.0, band="mixed", gates=(0.9, 0.5, 0.7), shape_terms=True)
-@example(seed=2, n_tracks=12, n_dets=0, tentative_share=0.3, band="mixed", gates=(0.9, 0.5, 0.7), shape_terms=True)
-@example(seed=3, n_tracks=0, n_dets=0, tentative_share=0.0, band="mixed", gates=(0.9, 0.5, 0.7), shape_terms=True)
-@example(seed=4, n_tracks=20, n_dets=25, tentative_share=0.3, band="all_low", gates=(0.9, 0.5, 0.7), shape_terms=True)
-@example(seed=5, n_tracks=20, n_dets=25, tentative_share=0.3, band="discarded", gates=(0.9, 0.5, 0.7), shape_terms=False)
+@example(seed=1, n_tracks=0, n_dets=12, tentative_share=0.0, band="mixed", gates=(0.9, 0.5, 0.7), shape_terms=True,
+         contention=None)
+@example(seed=2, n_tracks=12, n_dets=0, tentative_share=0.3, band="mixed", gates=(0.9, 0.5, 0.7), shape_terms=True,
+         contention=None)
+@example(seed=3, n_tracks=0, n_dets=0, tentative_share=0.0, band="mixed", gates=(0.9, 0.5, 0.7), shape_terms=True,
+         contention=None)
+@example(seed=4, n_tracks=20, n_dets=25, tentative_share=0.3, band="all_low", gates=(0.9, 0.5, 0.7), shape_terms=True,
+         contention=None)
+@example(seed=5, n_tracks=20, n_dets=25, tentative_share=0.3, band="discarded", gates=(0.9, 0.5, 0.7),
+         shape_terms=False, contention=None)
+@example(seed=6, n_tracks=8, n_dets=10, tentative_share=0.3, band="mixed", gates=(0.9, 0.5, 0.7), shape_terms=True,
+         contention="both_bands")
+@example(seed=7, n_tracks=8, n_dets=10, tentative_share=0.3, band="mixed", gates=(0.9, 0.5, 0.7), shape_terms=True,
+         contention="shared_high")
+@example(seed=8, n_tracks=20, n_dets=25, tentative_share=0.3, band="mixed", gates=WIDE_GATES, shape_terms=True,
+         contention="both_bands")
+@example(seed=9, n_tracks=20, n_dets=25, tentative_share=0.3, band="mixed", gates=WIDE_GATES, shape_terms=True,
+         contention="shared_high")
+@example(seed=10, n_tracks=12, n_dets=15, tentative_share=1.0, band="mixed", gates=WIDE_GATES, shape_terms=True,
+         contention=None)
 def test_sparse_association_matches_the_dense_stages(
-    seed, n_tracks, n_dets, tentative_share, band, gates, shape_terms
+    seed, n_tracks, n_dets, tentative_share, band, gates, shape_terms, contention
 ):
     config = TrackerConfig(
         match_gate_stage1=gates[0], match_gate_stage2=gates[1], match_gate_unconfirmed=gates[2],
         use_height_term=shape_terms, use_area_term=shape_terms,
     )
-    args = frame(seed, n_tracks, n_dets, tentative_share, band) + (config,)
+    args = frame(seed, n_tracks, n_dets, tentative_share, band, contention) + (config,)
     dense = as_lists(dense_associate_ref(*args))
     for generator in GENERATORS:
         assert as_lists(associate_with(generator, *args)) == dense, generator
+
+
+@pytest.mark.parametrize(
+    "misses, score, bad",
+    [(0, 0.9, np.nan), (TENTATIVE, 0.3, np.nan), (0, 0.9, np.inf)],
+    ids=["lone pair", "tentative x low pair", "infinite cost"],
+)
+def test_a_cost_that_is_not_finite_raises(monkeypatch, misses, score, bad):
+    # a NaN fails every gate test, so without the check it would read as a
+    # pair no stage admits; the tentative x low pair is in no stage at all
+    costed = paired_shape_iou_distance
+
+    def spoiled(*args, **kwargs):
+        costs = costed(*args, **kwargs)
+        costs[0] = bad
+        return costs
+
+    monkeypatch.setattr(geometry, "paired_shape_iou_distance", spoiled)
+    box = np.array([[10.0, 10.0, 50.0, 90.0]])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        associate(box, np.array([misses]), box + 1.0, np.array([score]), TrackerConfig())
 
 
 def grid_frame(seed, n_tracks, n_dets, copies):
