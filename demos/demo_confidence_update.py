@@ -35,8 +35,8 @@ def run(switches):
     return history
 
 
-plain = dict(use_confidence_noise=False, use_velocity_blend=False)
-weighted = dict(use_confidence_noise=True, use_velocity_blend=True)
+plain = dict(use_confidence=False)
+weighted = dict(use_confidence=True)
 
 print(f"{'frame':>5} {'true x':>8} | {'plain x':>8} {'plain vx':>9} | {'weighted x':>10} {'weighted vx':>11}")
 for (f, px, pv), (_, wx, wv) in zip(run(plain), run(weighted)):

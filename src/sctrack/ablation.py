@@ -19,11 +19,7 @@ from .tracker import TrackerConfig
 
 @dataclass(frozen=True)
 class AblationArm:
-    """One tracker configuration variant in a comparison table.
-
-    ``use_confidence`` switches the confidence-scaled measurement noise and
-    the velocity blend together.
-    """
+    """One tracker configuration variant in a comparison table."""
 
     label: str
     use_height_term: bool
@@ -51,11 +47,7 @@ ARM_FAMILIES = {"components": COMPONENT_ARMS, "shape-terms": SHAPE_TERM_ARMS}
 def arm_config(base: TrackerConfig, arm: AblationArm) -> TrackerConfig:
     """Apply an arm's switches to a base tracker configuration."""
     return replace(
-        base,
-        use_height_term=arm.use_height_term,
-        use_area_term=arm.use_area_term,
-        use_confidence_noise=arm.use_confidence,
-        use_velocity_blend=arm.use_confidence,
+        base, use_height_term=arm.use_height_term, use_area_term=arm.use_area_term, use_confidence=arm.use_confidence
     )
 
 

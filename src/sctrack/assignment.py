@@ -55,7 +55,7 @@ def solve(costs: np.ndarray, gate: float) -> AssignmentResult:
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2:
         raise ValueError(f"cost matrix must be 2-dimensional, got shape {costs.shape}")
-    if gate < 0:
+    if not gate >= 0:  # NaN fails too
         raise ValueError(f"gate must be non-negative, got {gate}")
     m, n = costs.shape
     if m == 0 or n == 0:
@@ -87,29 +87,25 @@ def solve_pairs(rows: np.ndarray, cols: np.ndarray, costs: np.ndarray, gate: flo
         The matched ``(rows, cols)`` as int arrays, in no set order: the
         matching :func:`solve` returns for the matrix of these costs (every
         entry off the list above the gate) whenever that matching is unique.
-        A feasible pair that shares neither its row nor its column with
-        another feasible pair is matched as it is; the rest are solved as one
-        compact matrix of their rows and columns, by :func:`solve`'s rule.
+        A lone feasible pair (:func:`lone_pairs`) is matched as it is; the
+        rest are solved as one compact matrix of their rows and columns, by
+        :func:`solve`'s rule.
     """
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
     costs = np.asarray(costs, dtype=np.float64)
-    if gate < 0:
+    if not gate >= 0:  # NaN fails too
         raise ValueError(f"gate must be non-negative, got {gate}")
     if not np.isfinite(costs).all() or (costs < 0).any():
         raise ValueError("pair costs must be finite and non-negative")
     feasible = costs <= gate
     rows, cols, costs = rows[feasible], cols[feasible], costs[feasible]
-    if not len(rows):
-        return rows, cols
-    row_count, col_count = np.bincount(rows), np.bincount(cols)
-    alone = (row_count[rows] == 1) & (col_count[cols] == 1)
+    alone = lone_pairs(rows, cols)
     if alone.all():
         return rows, cols
     shared = ~alone
-    rows_shared, cols_shared = rows[shared], cols[shared]
     # rank each shared row and column among its kind: its compact index
-    row_ids, r = _compact(rows_shared, len(row_count))
-    col_ids, c = _compact(cols_shared, len(col_count))
+    row_ids, r = _compact(rows[shared])
+    col_ids, c = _compact(cols[shared])
     compact = np.zeros((len(row_ids), len(col_ids)))
     listed = np.zeros(compact.shape, bool)
     compact[r, c], listed[r, c] = costs[shared], True
@@ -120,9 +116,15 @@ def solve_pairs(rows: np.ndarray, cols: np.ndarray, costs: np.ndarray, gate: flo
     )
 
 
-def _compact(index: np.ndarray, size: int):
-    """The distinct values of ``index`` (all below ``size``), ascending, and
-    the position of each entry's value among them."""
-    present = np.zeros(size, bool)
+def lone_pairs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Mask of the pairs ``(rows[k], cols[k])`` that share neither their row
+    nor their column with another pair."""
+    return (np.bincount(rows).take(rows) == 1) & (np.bincount(cols).take(cols) == 1)
+
+
+def _compact(index: np.ndarray):
+    """The distinct values of a non-empty int array, ascending, and the
+    position of each entry's value among them."""
+    present = np.zeros(index.max() + 1, bool)
     present[index] = True
     return np.flatnonzero(present), (np.cumsum(present) - 1)[index]

@@ -30,10 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     track.add_argument("--output", required=True, help="result file to write")
     _add_config_flags(track)
     track.add_argument("--no-shape", action="store_true", help="disable both shape constraint terms")
-    track.add_argument(
-        "--no-conf", action="store_true",
-        help="disable confidence-weighted noise and velocity blending",
-    )
+    track.add_argument("--no-conf", action="store_true", help="disable the confidence-weighted filter update")
 
     evaluate = sub.add_parser("eval", help="score a result file against ground truth")
     evaluate.add_argument("--gt", required=True, help="MOTChallenge gt file")
@@ -145,7 +142,7 @@ def _tracker_config(args) -> TrackerConfig:
     if getattr(args, "no_shape", False):
         flags.update(use_height_term=False, use_area_term=False)
     if getattr(args, "no_conf", False):
-        flags.update(use_confidence_noise=False, use_velocity_blend=False)
+        flags.update(use_confidence=False)
     try:
         return TrackerConfig(**{**values, **flags})
     except ValueError as exc:

@@ -6,7 +6,8 @@ measurement noise follow the usual box-tracking convention of standard
 deviations proportional to the current box height, so the filter behaves the
 same at any image resolution.
 
-Two confidence mechanisms hook into the update:
+The confidence weighting of the update, switched by ``use_confidence``, has
+two parts:
 
 * the measurement noise is scaled by ``(1 - score**2)``, so confident
   detections are trusted more (a score of exactly 1 removes measurement
@@ -107,28 +108,28 @@ def batch_predict(mean: np.ndarray, covariance: np.ndarray):
     return mean @ _TRANSITION.T, _BLOCK_TRANSITION @ covariance + _variances("predict", mean[:, 3])
 
 
-def _measurement_variances(h: np.ndarray, scores: np.ndarray, use_confidence_noise: bool) -> np.ndarray:
+def _measurement_variances(h: np.ndarray, scores: np.ndarray, use_confidence: bool) -> np.ndarray:
     """Diagonal measurement variances ``(N, 4)``, confidence-scaled when enabled."""
     variances = _variances("measure", h)
-    if use_confidence_noise:
+    if use_confidence:
         variances = variances * (1.0 - scores**2)[:, None]
     return variances
 
 
 def batch_update(
     mean: np.ndarray, covariance: np.ndarray, measurements: np.ndarray, scores: np.ndarray,
-    *, use_confidence_noise: bool = True, use_velocity_blend: bool = True,
+    *, use_confidence: bool = True,
 ):
     """Fold row ``i`` of ``measurements`` (``[x, y, a, h]``) at ``scores[i]`` into row ``i``.
 
-    The switches turn the two confidence mechanisms of the module docstring
-    on or off.  Each axis's gains are its position and cross covariances over
-    its innovation variance; the posterior uses the Joseph form, which keeps
-    it PSD even when the confidence-scaled noise is zero at score 1.  The
-    inputs are left untouched.
+    ``use_confidence`` turns both parts of the confidence weighting of the
+    module docstring on or off.  Each axis's gains are its position and
+    cross covariances over its innovation variance; the posterior uses the
+    Joseph form, which keeps it PSD even when the confidence-scaled noise is
+    zero at score 1.  The inputs are left untouched.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    noise = _measurement_variances(mean[:, 3], scores, use_confidence_noise)
+    noise = _measurement_variances(mean[:, 3], scores, use_confidence)
     pos_var, cross, rate_var = covariance.transpose(1, 0, 2).copy()  # contiguous: faster ufuncs
 
     innovation_var = pos_var + noise
@@ -138,7 +139,7 @@ def batch_update(
     new_mean = np.empty(mean.shape)
     np.add(mean[:, :MEASUREMENT_DIM], pos_gain * innovation, out=new_mean[:, :MEASUREMENT_DIM])
     rate = mean[:, MEASUREMENT_DIM:] + rate_gain * innovation
-    if use_velocity_blend:
+    if use_confidence:
         weight = scores[:, None]
         rate = weight * rate + (1.0 - weight) * mean[:, MEASUREMENT_DIM:]
     new_mean[:, MEASUREMENT_DIM:] = rate
@@ -201,19 +202,11 @@ def predict(state: KalmanState) -> KalmanState:
     return KalmanState(mean=mean[0], covariance=to_dense(covariance[0]))
 
 
-def measurement_noise(state: KalmanState, score: float, *, use_confidence_noise: bool = True) -> np.ndarray:
-    """Measurement covariance for the update, confidence-scaled when enabled."""
-    return np.diag(_measurement_variances(state.mean[None, 3], np.array([score]), use_confidence_noise)[0])
-
-
-def update(
-    state: KalmanState, detection: Detection,
-    *, use_confidence_noise: bool = True, use_velocity_blend: bool = True,
-) -> KalmanState:
+def update(state: KalmanState, detection: Detection, *, use_confidence: bool = True) -> KalmanState:
     """Fold one detection (its score lies in [0, 1]) into a predicted state."""
     mean, covariance = batch_update(
         state.mean[None], to_blocks(state.covariance)[None], _box_row(detection.box), [detection.score],
-        use_confidence_noise=use_confidence_noise, use_velocity_blend=use_velocity_blend,
+        use_confidence=use_confidence,
     )
     return KalmanState(mean=mean[0], covariance=to_dense(covariance[0]))
 

@@ -69,35 +69,9 @@ class MetricsReport:
 
     def to_csv(self) -> str:
         """Header plus one data line, machine-readable."""
-        return f"{self.CSV_HEADER}\n{self.to_csv_line()}"
-
-    def to_csv_line(self) -> str:
         return (
-            f"{self.mota:.6f},{self.idf1:.6f},{self.idsw},{self.fp},"
+            f"{self.CSV_HEADER}\n{self.mota:.6f},{self.idf1:.6f},{self.idsw},{self.fp},"
             f"{self.fn},{self.gt_count},{self.matches}"
-        )
-
-    @classmethod
-    def from_csv(cls, text: str) -> "MetricsReport":
-        """Parse the output of :meth:`to_csv` (header optional)."""
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty report text")
-        if lines[0].strip() == cls.CSV_HEADER:
-            lines = lines[1:]
-        if len(lines) != 1:
-            raise ValueError(f"expected one data line, got {len(lines)}")
-        parts = lines[0].split(",")
-        if len(parts) != 7:
-            raise ValueError(f"expected 7 fields, got {len(parts)}")
-        return cls(
-            mota=float(parts[0]),
-            idf1=float(parts[1]),
-            idsw=int(parts[2]),
-            fp=int(parts[3]),
-            fn=int(parts[4]),
-            gt_count=int(parts[5]),
-            matches=int(parts[6]),
         )
 
 
@@ -111,7 +85,8 @@ def _frames(by_frame, source: str):
     boxes, frames ascending.
 
     Every frame is converted once; one vectorised test finds the first
-    frame, in the map's order, that repeats an id.
+    frame, in the map's order, that repeats an id, and one whole-table test
+    the first box, in frame order, that is not finite with ``a, h > 0``.
     """
     frames, blocks = [], []
     for frame, rows in by_frame.items():
@@ -130,7 +105,14 @@ def _frames(by_frame, source: str):
     if repeats.any():
         n = min(np.flatnonzero(repeats).tolist(), key=lambda n: order[frame_no[n]])
         raise ValueError(f"{source} frame {frames[frame_no[n]]} repeats id {int(ids[n])}")
-    return frames, sizes, ids, xyah_to_corners(np.concatenate([block.xyah for block in blocks]))
+    xyah = np.concatenate([block.xyah for block in blocks])
+    if not (np.isfinite(xyah).all() and xyah[:, 2:].min() > 0):
+        n = int(np.argmin(np.isfinite(xyah).all(axis=1) & (xyah[:, 2:] > 0).all(axis=1)))
+        raise ValueError(
+            f"{source} frame {frames[frame_no[n]]} id {int(ids[n])}: box [x, y, a, h] = {xyah[n].tolist()} "
+            "needs finite fields, a > 0 and h > 0"
+        )
+    return frames, sizes, ids, xyah_to_corners(xyah)
 
 
 def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) -> MetricsReport:
@@ -158,8 +140,10 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
         ValueError: if ``iou_match_thresh`` is NaN or outside (0, 1], if the
             ground truth contains no boxes (the accuracy denominator would be
             undefined), if either input repeats an id within a frame (the
-            correspondence would be ambiguous; the message names both), or if
-            the IoU of two overlapping boxes is not a number.
+            correspondence would be ambiguous; the message names both), if
+            a box has a non-finite field or ``a <= 0`` or ``h <= 0`` (the
+            message names the side, frame and id), or if the IoU of two
+            overlapping boxes is not a number.
     """
     if not 0.0 < iou_match_thresh <= 1.0:
         raise ValueError(f"iou_match_thresh must lie in (0, 1], got {iou_match_thresh}")
@@ -235,13 +219,12 @@ def _matched(frame, id_pair, hit, rows, cols, iou, gate):
     hits and were matched in the previous frame of the union are kept, and
     the rest of them go to the pair solver.
     """
-    row_count, col_count = np.bincount(rows), np.bincount(cols)
-    contested = (row_count[rows] > 1) | (col_count[cols] > 1)
-    matched = ~contested
+    matched = assignment.lone_pairs(rows, cols)
+    contested = ~matched
     # the hyp row matched to each gt row of a contested frame, and the hyp
     # rows taken; a row lies in one frame, so no entry is ever reset
-    partner = np.full(len(row_count), -1)
-    taken = np.zeros(len(col_count), bool)
+    partner = np.full(rows.max(initial=-1) + 1, -1)
+    taken = np.zeros(cols.max(initial=-1) + 1, bool)
     at = np.unique(frame[contested])
     # each such frame's pairs are [start, end), the previous frame's [before, start)
     befores = np.searchsorted(frame, at - 1).tolist()
@@ -260,6 +243,7 @@ def _matched(frame, id_pair, hit, rows, cols, iou, gate):
             partner[rows[kept]], taken[cols[kept]] = cols[kept], True
             pairs = pairs[(partner[rows[pairs]] < 0) & ~taken[cols[pairs]]]
         if len(pairs):
+            # numbered from 0: the solver sizes its counts by the largest index
             r0, c0 = rows[pairs].min(), cols[pairs].min()
             solved = assignment.solve_pairs(rows[pairs] - r0, cols[pairs] - c0, 1.0 - iou[pairs], gate)
             partner[solved[0] + r0] = solved[1] + c0
@@ -278,7 +262,7 @@ def _identity_f1(hit_gt, hit_hyp, total: int) -> float:
     span = int(hit_hyp.max(initial=0)) + 1
     pairs, shared = np.unique(hit_gt * span + hit_hyp, return_counts=True)
     g, h = pairs // span, pairs % span
-    alone = (np.bincount(g)[g] == 1) & (np.bincount(h)[h] == 1)
+    alone = assignment.lone_pairs(g, h)
     idtp = int(shared[alone].sum())
     if not alone.all():
         g_ids, r = np.unique(g[~alone], return_inverse=True)

@@ -65,15 +65,9 @@ class GroundTruthEntry(NamedTuple):
     evaluable: bool
 
 
-# the canonical line: coordinates fixed-point with two decimals, confidence with four
-LINE_FORMAT = "%d,%d,%.2f,%.2f,%.2f,%.2f,%.4f,%.0f,%.0f,%.0f"
-# the same line with x, y, z at -1, as the box writers leave them
-BOX_LINE_FORMAT = LINE_FORMAT.replace(",%.0f,%.0f,%.0f", ",-1,-1,-1")
-
-
-def format_record(record: MotRecord) -> str:
-    """One canonical CSV line (no newline) for a record."""
-    return LINE_FORMAT % tuple(record)
+# the written line: coordinates fixed-point with two decimals, confidence with
+# four, and x, y, z left at -1
+LINE_FORMAT = "%d,%d,%.2f,%.2f,%.2f,%.2f,%.4f,-1,-1,-1"
 
 
 def _first(mask) -> int:
@@ -383,13 +377,14 @@ def read_results(path) -> dict[int, FrameBoxes]:
     }
 
 
-def _write_rows(path, rows: Iterable[tuple], line_format: str = LINE_FORMAT) -> None:
-    """Write rows of the fields a line format takes, one line each, in order.
+def _write_rows(path, rows: Iterable[tuple]) -> None:
+    """Write ``(frame, id, left, top, width, height, conf)`` rows in
+    :data:`LINE_FORMAT`, one line each, in order.
 
     Each run of :data:`CHUNK_LINES` rows is formatted by one ``%`` call.
     """
     rows = iter(rows)
-    line = line_format + "\n"
+    line = LINE_FORMAT + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
             while chunk := list(islice(rows, CHUNK_LINES)):
@@ -406,12 +401,7 @@ def _write_blocks(path, frames: list, blocks: list[FrameBoxes]) -> None:
     x, y, a, h = xyah.T
     frame = chain.from_iterable(map(repeat, frames, [len(b.ids) for b in blocks]))
     columns = (ids.tolist(), x.tolist(), y.tolist(), (a * h).tolist(), h.tolist(), scores.tolist())
-    _write_rows(path, zip(frame, *columns), BOX_LINE_FORMAT)
-
-
-def write_records(path, records: Iterable[MotRecord]) -> None:
-    """Write records in the canonical line format, in the given order."""
-    _write_rows(path, records)
+    _write_rows(path, zip(frame, *columns))
 
 
 def write_results(path, results: Iterable) -> None:

@@ -68,8 +68,9 @@ class ScenarioSpec:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
         if not (0.0 <= self.dropout_prob <= 1.0):
             raise ValueError(f"dropout_prob must lie in [0, 1], got {self.dropout_prob}")
-        if self.noise_std_px < 0 or self.false_positive_rate < 0:
-            raise ValueError("noise_std_px and false_positive_rate must be non-negative")
+        for name in ("noise_std_px", "false_positive_rate"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.confidence_model not in CONFIDENCE_MODELS:
             raise ValueError(
                 f"unknown confidence model {self.confidence_model!r}; "

@@ -39,7 +39,6 @@ class TrackStatus(enum.Enum):
     TENTATIVE = "tentative"
     CONFIRMED = "confirmed"
     LOST = "lost"
-    REMOVED = "removed"
 
 
 class Track(NamedTuple):
@@ -60,9 +59,9 @@ class TrackerConfig:
 
     The defaults follow the usual two-stage association conventions; the
     stage gates are expressed on the shape-aware distance, whose range
-    extends beyond [0, 1] when the shape terms are enabled.  The last four
-    fields switch the shape terms of the distance and the confidence
-    mechanisms of the filter update.
+    extends beyond [0, 1] when the shape terms are enabled.  The last three
+    fields switch the two shape terms of the distance and the confidence
+    weighting of the filter update.
 
     The constructor checks each field's type (an int is accepted for a
     float, and a bool only for a bool), then the ranges; both raise
@@ -78,8 +77,7 @@ class TrackerConfig:
     max_lost_frames: int = 30
     use_height_term: bool = True
     use_area_term: bool = True
-    use_confidence_noise: bool = True
-    use_velocity_blend: bool = True
+    use_confidence: bool = True
 
     def __post_init__(self):
         for key, kind in CONFIG_SCHEMA.items():
@@ -95,7 +93,7 @@ class TrackerConfig:
         if not (0.0 <= self.new_track_thresh <= 1.0):
             raise ValueError(f"new_track_thresh must lie in [0, 1], got {self.new_track_thresh}")
         for name in ("match_gate_stage1", "match_gate_stage2", "match_gate_unconfirmed"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be non-negative")
         if self.max_lost_frames < 1:
             raise ValueError(f"max_lost_frames must be >= 1, got {self.max_lost_frames}")
@@ -238,8 +236,7 @@ class SCTracker:
             means, covariances = kalman.batch_update(
                 self.means if everyone else self.means.take(rows, 0),
                 self.covariances if everyone else self.covariances.take(rows, 0),
-                measured.take(cols, 0), matched_scores,
-                use_confidence_noise=cfg.use_confidence_noise, use_velocity_blend=cfg.use_velocity_blend,
+                measured.take(cols, 0), matched_scores, use_confidence=cfg.use_confidence,
             )
             # the update's fresh arrays become the table, or are copied into it;
             # no array a step returns is written later (each step predicts anew)
@@ -331,7 +328,7 @@ def associate(track_corners, misses, det_corners, scores, config: TrackerConfig)
     # a lone kept pair is alone in its stage, and no other stage touches its
     # track or detection, so its stage would match it as it is
     kept_rows, kept_cols = rows.take(kept), cols.take(kept)
-    lone = (np.bincount(kept_rows).take(kept_rows) == 1) & (np.bincount(kept_cols).take(kept_cols) == 1)
+    lone = assignment.lone_pairs(kept_rows, kept_cols)
     if not lone.all():
         contested = kept[~lone]
         rows, cols, costs, stage = (part.take(contested) for part in (rows, cols, costs, stage))

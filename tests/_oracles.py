@@ -554,12 +554,15 @@ def read_results_ref(path):
 # The block update as it stood before it wrote into preallocated outputs: the
 # covariance rows are stacked and the mean halves concatenated.  The kernel
 # must give the same bits, so it is compared with array_equal, not a tolerance.
+# Both oracle updates switch the two parts of the confidence weighting apart
+# (the kernel's ``use_confidence`` sets both), so a test can isolate each.
 
 def stacked_update_ref(
     mean: np.ndarray, covariance: np.ndarray, measurements: np.ndarray, scores: np.ndarray,
     *, use_confidence_noise: bool = True, use_velocity_blend: bool = True,
 ):
-    """Arguments and return value as :func:`sctrack.kalman.batch_update`."""
+    """Arguments and return value as :func:`sctrack.kalman.batch_update`,
+    with its one switch split in two."""
     scores = np.asarray(scores, dtype=np.float64)
     noise = kalman._measurement_variances(mean[:, 3], scores, use_confidence_noise)
     pos_var, cross, rate_var = covariance.transpose(1, 0, 2).copy()
@@ -666,8 +669,8 @@ def dense_update_ref(
 ):
     """Fold row ``i`` of ``measurements`` (``[x, y, a, h]``) at ``scores[i]`` into row ``i``.
 
-    The switches turn the two confidence mechanisms of the module docstring
-    on or off.  One stacked 4x4 solve gives every gain; the posterior
+    The switches turn the two parts of the confidence weighting on or off.
+    One stacked 4x4 solve gives every gain; the posterior
     covariance uses the Joseph form, which keeps it symmetric PSD even when
     the confidence-scaled noise degenerates to zero at score 1.  The inputs
     are left untouched.

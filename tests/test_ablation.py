@@ -27,10 +27,9 @@ class TestArms:
         cfg = arm_config(base, COMPONENT_ARMS[0])
         assert not cfg.use_height_term
         assert not cfg.use_area_term
-        assert not cfg.use_confidence_noise
-        assert not cfg.use_velocity_blend
+        assert not cfg.use_confidence
         full = arm_config(base, COMPONENT_ARMS[3])
-        assert full.use_height_term and full.use_velocity_blend
+        assert full.use_height_term and full.use_area_term and full.use_confidence
 
     @pytest.mark.parametrize(
         "family, label, height, area, conf",
@@ -53,16 +52,13 @@ class TestArms:
             max_lost_frames=12,
             use_height_term=height,
             use_area_term=area,
-            use_confidence_noise=conf,
-            use_velocity_blend=conf,
+            use_confidence=conf,
         )
 
     def test_baseline_reduces_to_plain_iou_association(self):
         # the baseline arm's distance is exactly 1 - IoU and the update is a
         # plain Kalman update; its run must match a manually built config
-        manual = TrackerConfig(
-            use_height_term=False, use_area_term=False, use_confidence_noise=False, use_velocity_blend=False
-        )
+        manual = TrackerConfig(use_height_term=False, use_area_term=False, use_confidence=False)
         gt, dets = generate(builtin_scenario("crossing_same_shape"))
         via_arm = run_sequence(dets, arm_config(TrackerConfig(), COMPONENT_ARMS[0]))
         via_manual = run_sequence(dets, manual)

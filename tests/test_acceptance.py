@@ -18,14 +18,15 @@ from sctrack.geometry import (
     iou,
     shape_iou_distance,
 )
-from sctrack.kalman import initiate, measurement_noise, predict, project, update
+from sctrack.kalman import _measurement_variances, initiate, predict, project, to_blocks, update
 from sctrack.metrics import evaluate
-from sctrack.motio import MotRecord, ParseError, iter_records, read_detections, write_records
+from sctrack.motio import ParseError, read_detections, read_results, write_results
 from sctrack.synth import builtin_scenario, generate
-from sctrack.tracker import SCTracker, TrackerConfig
+from sctrack.tracker import FrameResult, SCTracker, TrackerConfig
 
-from _oracles import best_matching_ref, clear_events_ref, shape_distance_ref
+from _oracles import best_matching_ref, clear_events_ref, shape_distance_ref, stacked_update_ref
 from test_metrics import random_scenario
+from test_motio import random_results
 
 
 def report(line: str) -> None:
@@ -98,19 +99,26 @@ def test_criterion_04_confidence_update_boundary_identities():
     state = predict(initiate(BoundingBox.from_tlwh(100, 100, 50, 120)))
     meas = BoundingBox.from_tlwh(104, 101, 52, 118)
 
-    plain_noise = measurement_noise(state, 0.0, use_confidence_noise=False)
-    assert np.array_equal(measurement_noise(state, 0.0), plain_noise)
+    height = state.mean[None, 3]
+
+    def noise(score, use_confidence=True):
+        return _measurement_variances(height, np.array([score]), use_confidence)
+
+    def unblended(score):
+        # the update with confidence-scaled noise and no velocity blend
+        args = (state.mean[None], to_blocks(state.covariance)[None], np.array([[meas.x, meas.y, meas.a, meas.h]]))
+        return stacked_update_ref(*args, [score], use_velocity_blend=False)[0][0]
+
+    assert np.array_equal(noise(0.0), noise(0.0, use_confidence=False))
     at_zero = update(state, Detection(meas, 0.0))
     assert np.array_equal(at_zero.mean[4:], state.mean[4:])
 
-    assert np.array_equal(measurement_noise(state, 1.0), np.zeros((4, 4)))
+    assert np.array_equal(noise(1.0), np.zeros((1, 4)))
     at_one = update(state, Detection(meas, 1.0))
-    standard = update(state, Detection(meas, 1.0), use_velocity_blend=False)
-    assert np.array_equal(at_one.mean, standard.mean)
+    assert np.array_equal(at_one.mean, unblended(1.0))
 
     at_half = update(state, Detection(meas, 0.5))
-    unblended = update(state, Detection(meas, 0.5), use_velocity_blend=False)
-    midpoint = 0.5 * unblended.mean[4:] + 0.5 * state.mean[4:]
+    midpoint = 0.5 * unblended(0.5)[4:] + 0.5 * state.mean[4:]
     assert np.array_equal(at_half.mean[4:], midpoint)
     report("PASS criterion 4: score 0 / 0.5 / 1 noise and velocity identities hold exactly")
 
@@ -172,20 +180,8 @@ def test_criterion_08_metrics_match_brute_force_scorer():
 def test_criterion_09_io_round_trips_and_fuzz(tmp_path):
     rng = np.random.default_rng(109)
     first, second = tmp_path / "a.txt", tmp_path / "b.txt"
-    records = [
-        MotRecord(
-            int(rng.integers(1, 2000)),
-            int(rng.integers(-1, 100)),
-            float(rng.uniform(-20, 1900)),
-            float(rng.uniform(-20, 1000)),
-            float(rng.uniform(0.5, 500)),
-            float(rng.uniform(0.5, 500)),
-            float(rng.uniform(0, 1)),
-        )
-        for _ in range(500)
-    ]
-    write_records(first, records)
-    write_records(second, [r for _, r in iter_records(first)])
+    write_results(first, random_results(rng, 500, frames=2000))
+    write_results(second, [FrameResult(f, boxes) for f, boxes in read_results(first).items()])
     assert first.read_bytes() == second.read_bytes()
 
     fuzz = tmp_path / "fuzz.txt"

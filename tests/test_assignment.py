@@ -48,6 +48,8 @@ class TestSolveBasics:
             solve(np.array([[-0.1]]), 1.0)
         with pytest.raises(ValueError):
             solve(np.array([[0.5]]), -1.0)
+        with pytest.raises(ValueError, match="gate must be non-negative, got nan"):
+            solve(np.array([[0.5]]), float("nan"))
 
     def test_prefers_more_matches_over_cheaper_total(self):
         # the only full matching costs 1.0; matching row 0 alone would cost 0.1

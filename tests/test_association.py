@@ -313,5 +313,38 @@ def test_pair_solver_rejects_bad_inputs():
         assignment.solve_pairs(one, one, np.array([-0.1]), 0.5)
     with pytest.raises(ValueError):
         assignment.solve_pairs(one, one, np.array([0.1]), -1.0)
+    with pytest.raises(ValueError, match="gate must be non-negative, got nan"):
+        assignment.solve_pairs(one, one, np.array([0.1]), float("nan"))
     empty = np.zeros(0, int)
     assert [part.tolist() for part in assignment.solve_pairs(empty, empty, np.zeros(0), 0.5)] == [[], []]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=15, unique=True),
+    row_shift=st.integers(0, 10**6),
+    col_shift=st.integers(0, 10**6),
+)
+def test_lone_pairs_against_brute_force(pairs, row_shift, col_shift):
+    rows = np.array([r for r, _ in pairs], np.intp) + row_shift
+    cols = np.array([c for _, c in pairs], np.intp) + col_shift
+    expected = [
+        all(k == j or (rows[k] != rows[j] and cols[k] != cols[j]) for j in range(len(pairs)))
+        for k in range(len(pairs))
+    ]
+    assert assignment.lone_pairs(rows, cols).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), n=st.integers(1, 8),
+    row_shift=st.integers(0, 10**6), col_shift=st.integers(0, 10**6),
+)
+def test_pair_solver_is_the_same_on_shifted_indices(seed, m, n, row_shift, col_shift):
+    # a slice of a long table solves as the same problem numbered from 0
+    rng = np.random.default_rng(seed)
+    costs = rng.choice([0.1, 0.2, 0.3, 2.0], (m, n))
+    rows, cols, pair_costs = gated_pairs(costs, 0.5, rng)
+    base = assignment.solve_pairs(rows, cols, pair_costs, 0.5)
+    shifted = assignment.solve_pairs(rows + row_shift, cols + col_shift, pair_costs, 0.5)
+    assert np.array_equal(shifted[0], base[0] + row_shift) and np.array_equal(shifted[1], base[1] + col_shift)

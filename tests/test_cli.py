@@ -153,14 +153,14 @@ class TestTrack:
             "high_thresh = 0.65\nlow_thresh = 0.2\nnew_track_thresh = 0.75\n"
             "match_gate_stage1 = 0.8\nmatch_gate_stage2 = 0.4\nmatch_gate_unconfirmed = 0.6\n"
             "max_lost_frames = 12\nuse_height_term = false\nuse_area_term = true\n"
-            "use_confidence_noise = false\nuse_velocity_blend = true\n"
+            "use_confidence = false\n"
         )
         args = build_parser().parse_args(["track", "--detections", "d", "--output", "o", "--config", str(cfg)])
         assert _tracker_config(args) == TrackerConfig(
             high_thresh=0.65, low_thresh=0.2, new_track_thresh=0.75,
             match_gate_stage1=0.8, match_gate_stage2=0.4, match_gate_unconfirmed=0.6,
             max_lost_frames=12, use_height_term=False, use_area_term=True,
-            use_confidence_noise=False, use_velocity_blend=True,
+            use_confidence=False,
         )
 
     def test_rejected_file_value_names_file_and_line(self, tmp_path, scenario_dir, capsys, monkeypatch):
@@ -185,6 +185,18 @@ class TestTrack:
         argv = ["track", "--detections", "d", "--output", "o", "--config", str(cfg), "--gate1", "-1"]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: match_gate_stage1 must be non-negative\n"
+
+    def test_nan_gate_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # a NaN gate fails by name, from a flag or a file line, rather than
+        # running as a gate that admits nothing
+        monkeypatch.delenv("SCTRACK_CONFIG", raising=False)
+        argv = ["track", "--detections", "d", "--output", "o"]
+        assert main(argv + ["--gate1", "nan"]) == 1
+        assert capsys.readouterr().err == "error: match_gate_stage1 must be non-negative\n"
+        cfg = tmp_path / "conf.cfg"
+        cfg.write_text("max_lost_frames = 12\nmatch_gate_stage1 = nan\n")
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: match_gate_stage1 must be non-negative\n"
 
     def test_load_config_returns_values_only(self, tmp_path):
         cfg = tmp_path / "conf.cfg"
@@ -240,8 +252,10 @@ class TestEval:
             )
             == 0
         )
-        report = MetricsReport.from_csv(report_path.read_text())
-        assert report.mota == 1.0 and report.idsw == 0
+        header, values = report_path.read_text().splitlines()
+        report = dict(zip(header.split(","), values.split(",")))
+        assert header == MetricsReport.CSV_HEADER
+        assert float(report["mota"]) == 1.0 and int(report["idsw"]) == 0
 
     def test_empty_gt_is_an_error(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"

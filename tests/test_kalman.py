@@ -5,16 +5,33 @@ from sctrack.geometry import BoundingBox, Detection
 from sctrack.kalman import (
     InvalidStateError,
     KalmanState,
+    _measurement_variances,
     initiate,
-    measurement_noise,
     predict,
     project,
+    to_blocks,
     update,
 )
+
+from _oracles import stacked_update_ref
 
 
 def tlwh(x, y, w, h):
     return BoundingBox.from_tlwh(x, y, w, h)
+
+
+def unblended_mean(state, detection):
+    """The posterior mean with confidence-scaled noise and no velocity blend."""
+    box = detection.box
+    mean, _ = stacked_update_ref(
+        state.mean[None], to_blocks(state.covariance)[None], np.array([[box.x, box.y, box.a, box.h]]),
+        [detection.score], use_velocity_blend=False,
+    )
+    return mean[0]
+
+
+def noise(state, score, use_confidence=True):
+    return _measurement_variances(state.mean[None, 3], np.array([score]), use_confidence)
 
 
 def assert_symmetric_psd(cov, tol=1e-9):
@@ -76,25 +93,22 @@ class TestUpdateConfidence:
         self.meas = tlwh(104, 101, 52, 118)
 
     def test_score_zero_keeps_noise_and_velocity(self):
-        noise_full = measurement_noise(self.state, 0.0)
-        noise_plain = measurement_noise(self.state, 0.0, use_confidence_noise=False)
-        assert np.array_equal(noise_full, noise_plain)
+        assert np.array_equal(noise(self.state, 0.0), noise(self.state, 0.0, use_confidence=False))
         out = update(self.state, Detection(self.meas, 0.0))
         assert np.array_equal(out.mean[4:], self.state.mean[4:])
 
     def test_score_one_zeroes_noise_and_keeps_standard_update(self):
-        assert np.array_equal(measurement_noise(self.state, 1.0), np.zeros((4, 4)))
+        assert np.array_equal(noise(self.state, 1.0), np.zeros((1, 4)))
         blended = update(self.state, Detection(self.meas, 1.0))
-        plain = update(self.state, Detection(self.meas, 1.0), use_velocity_blend=False)
-        assert np.array_equal(blended.mean, plain.mean)
+        assert np.array_equal(blended.mean, unblended_mean(self.state, Detection(self.meas, 1.0)))
         # zero measurement noise pins the measured components exactly
         z = np.array([self.meas.x, self.meas.y, self.meas.a, self.meas.h])
         assert np.allclose(blended.mean[:4], z, atol=1e-9)
 
     def test_score_half_velocity_is_midpoint(self):
         out = update(self.state, Detection(self.meas, 0.5))
-        plain = update(self.state, Detection(self.meas, 0.5), use_velocity_blend=False)
-        midpoint = 0.5 * plain.mean[4:] + 0.5 * self.state.mean[4:]
+        plain = unblended_mean(self.state, Detection(self.meas, 0.5))
+        midpoint = 0.5 * plain[4:] + 0.5 * self.state.mean[4:]
         assert np.array_equal(out.mean[4:], midpoint)
 
     def test_rejects_bad_scores(self):
@@ -135,7 +149,7 @@ class TestFilterBehaviour:
         prev = None
         for _ in range(50):
             state = predict(state)
-            state = update(state, Detection(target, 0.9), use_confidence_noise=False, use_velocity_blend=False)
+            state = update(state, Detection(target, 0.9), use_confidence=False)
             var = (state.covariance[0, 0], state.covariance[1, 1])
             if prev is not None:
                 assert var[0] <= prev[0] + 1e-12

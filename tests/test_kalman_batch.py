@@ -42,8 +42,13 @@ boxes = st.builds(
     st.floats(4.0, 500.0),
 )
 scores = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-# the confidence switches of the filter update, as keyword arguments
-switch_sets = st.fixed_dictionaries({"use_confidence_noise": st.booleans(), "use_velocity_blend": st.booleans()})
+# the confidence switch of the filter update, as a keyword argument
+switch_sets = st.fixed_dictionaries({"use_confidence": st.booleans()})
+
+
+def oracle_switches(switches):
+    """The oracles switch the two parts of the confidence weighting apart."""
+    return {"use_confidence_noise": switches["use_confidence"], "use_velocity_blend": switches["use_confidence"]}
 
 
 def rows_of(box_list):
@@ -116,7 +121,7 @@ def test_batch_update_is_bitwise_the_stacked_update(rows, steps, switches):
     # the golden test allows 1e-9 on boxes; a reordered formula would pass it
     mean, covariance = stack([predict(s) for s in tracked_states([r[0] for r in rows], steps, switches)])
     args = (mean, covariance, rows_of([r[1] for r in rows]), [r[2] for r in rows])
-    got, expected = batch_update(*args, **switches), stacked_update_ref(*args, **switches)
+    got, expected = batch_update(*args, **switches), stacked_update_ref(*args, **oracle_switches(switches))
     assert all(map(np.array_equal, got, expected))
 
 
@@ -211,12 +216,14 @@ def test_block_kernels_match_the_dense_oracle(rows, steps, switches):
         assert_close(predicted[0], expected[0])
         assert_matches_dense(predicted[1], expected[1])
         mean, covariance = batch_update(*predicted, measured, row_scores, **switches)
-        expected = dense_update_ref(predicted[0], to_dense(predicted[1]), measured, row_scores, **switches)
+        expected = dense_update_ref(
+            predicted[0], to_dense(predicted[1]), measured, row_scores, **oracle_switches(switches)
+        )
         assert_close(mean, expected[0])
         assert_matches_dense(covariance, expected[1])
         # and the oracle's own chain never leaves the block form
         oracle_mean, oracle_covariance = dense_update_ref(
-            *dense_predict_ref(oracle_mean, oracle_covariance), measured, row_scores, **switches
+            *dense_predict_ref(oracle_mean, oracle_covariance), measured, row_scores, **oracle_switches(switches)
         )
         assert not oracle_covariance[:, OFF_BLOCK].any()
 

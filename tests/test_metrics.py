@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -138,6 +141,30 @@ def test_boxes_whose_overlap_is_undefined_are_an_error():
         evaluate({3: huge}, {3: huge})
 
 
+class TestBadBoxes:
+    # a box no BoundingBox could hold fails by name, on either side, rather
+    # than scoring silently or failing inside numpy
+    @pytest.mark.parametrize(
+        "row",
+        [[np.nan, 0.0, 0.5, 10.0], [0.0, np.inf, 0.5, 10.0], [0.0, 0.0, -0.5, 10.0], [0.0, 0.0, 0.5, 0.0]],
+        ids=["nan-x", "inf-y", "negative-a", "zero-h"],
+    )
+    @pytest.mark.parametrize("side", ["ground truth", "results"])
+    def test_bad_row_names_side_frame_and_id(self, side, row):
+        good = {f: FrameBoxes.of([1, 2], [box(0, 0), box(300, 0)]) for f in (1, 2, 3)}
+        bad = dict(good)
+        bad[2] = FrameBoxes(np.array([1, 9]), np.array([[300.0, 0.0, 0.5, 100.0], row]), np.ones(2))
+        gt, results = (bad, good) if side == "ground truth" else (good, bad)
+        with pytest.raises(ValueError, match=rf"^{side} frame 2 id 9: box .* needs finite fields, a > 0 and h > 0$"):
+            evaluate(gt, results)
+
+    def test_first_bad_row_in_frame_order_is_named(self):
+        bad = np.array([[0.0, 0.0, 0.5, -1.0]])
+        results = {4: FrameBoxes(np.array([3]), bad, np.ones(1)), 2: FrameBoxes(np.array([5]), bad, np.ones(1))}
+        with pytest.raises(ValueError, match="^results frame 2 id 5:"):
+            evaluate(single_object_gt(4), results)
+
+
 class TestIouThreshold:
     @pytest.mark.parametrize("thresh", [float("nan"), -0.2, 0.0, 1.5])
     def test_out_of_range_threshold_is_named(self, thresh):
@@ -259,7 +286,9 @@ class TestReportSerialization:
         report = MetricsReport(
             mota=0.8125, idf1=0.9, idsw=3, fp=10, fn=5, gt_count=96, matches=88
         )
-        parsed = MetricsReport.from_csv(report.to_csv())
+        (row,) = csv.DictReader(io.StringIO(report.to_csv()))
+        assert row.keys() == set(MetricsReport.CSV_HEADER.split(","))
+        parsed = MetricsReport(**{k: (float if k in ("mota", "idf1") else int)(v) for k, v in row.items()})
         assert parsed == report
 
     def test_text_block_shows_percentages(self):
@@ -269,9 +298,3 @@ class TestReportSerialization:
         text = report.to_text()
         assert "100.00%" in text
         assert "IDSW" in text
-
-    def test_from_csv_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            MetricsReport.from_csv("")
-        with pytest.raises(ValueError):
-            MetricsReport.from_csv("1,2,3")

@@ -10,7 +10,6 @@ from sctrack.motio import (
     GroundTruthEntry,
     MotRecord,
     ParseError,
-    format_record,
     iter_records,
     read_detections,
     read_ground_truth,
@@ -19,7 +18,6 @@ from sctrack.motio import (
     scan_detections,
     write_detections,
     write_ground_truth,
-    write_records,
     write_results,
 )
 from sctrack.tracker import FrameResult
@@ -29,13 +27,26 @@ def write_lines(path, lines):
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
+def random_results(rng, count, frames):
+    """``count`` random result boxes spread over frames ``1..frames``, as
+    :class:`FrameResult` objects; ids are distinct, from -1 up."""
+    frame = rng.integers(1, frames + 1, count)
+    ids = rng.permutation(count) - 1
+    w, h = rng.uniform(0.5, 400, (2, count))
+    xyah = np.column_stack((rng.uniform(-10, 1900, count), rng.uniform(-10, 1000, count), w / h, h))
+    scores = rng.uniform(0, 1, count)
+    return [
+        FrameResult(int(f), FrameBoxes(ids[frame == f], xyah[frame == f], scores[frame == f]))
+        for f in np.unique(frame)
+    ]
+
+
 class TestDetectionReading:
     def test_round_trip_single_record(self, tmp_path):
         path = tmp_path / "det.txt"
-        record = MotRecord(1, -1, 10.25, 20.50, 30.00, 40.75, 0.8765)
-        write_records(path, [record])
+        write_detections(path, {1: np.array([[10.25, 20.50, 30.00 / 40.75, 40.75, 0.8765]])})
         read_back = [r for _, r in iter_records(path)]
-        assert read_back == [record]
+        assert read_back == [MotRecord(1, -1, 10.25, 20.50, 30.00, 40.75, 0.8765)]
 
     def test_rejects_bad_height_row_but_continues(self, tmp_path):
         path = tmp_path / "det.txt"
@@ -340,21 +351,9 @@ class TestWriting:
         rng = np.random.default_rng(1)
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"
-        records = [
-            MotRecord(
-                int(rng.integers(1, 500)),
-                int(rng.integers(-1, 50)),
-                float(rng.uniform(-10, 1900)),
-                float(rng.uniform(-10, 1000)),
-                float(rng.uniform(0.5, 400)),
-                float(rng.uniform(0.5, 400)),
-                float(rng.uniform(0, 1)),
-            )
-            for _ in range(200)
-        ]
-        write_records(first, records)
-        parsed = [r for _, r in iter_records(first)]
-        write_records(second, parsed)
+        results = random_results(rng, 200, frames=500)
+        write_results(first, results)
+        write_results(second, [FrameResult(f, boxes) for f, boxes in read_results(first).items()])
         assert first.read_bytes() == second.read_bytes()
 
     def test_detection_file_round_trip(self, tmp_path):
@@ -412,6 +411,8 @@ class TestConfigFiles:
             ("epsilon", "1e-7"),
             ("std_weight_position", "0.05"),
             ("std_weight_velocity", "0.00625"),
+            ("use_confidence_noise", "true"),
+            ("use_velocity_blend", "false"),
         ],
     )
     def test_removed_key_rejected_with_line(self, tmp_path, key, value):
@@ -434,6 +435,8 @@ class TestConfigFiles:
 
 
 class TestFormat:
-    def test_canonical_line(self):
-        record = MotRecord(3, 7, 1.0, 2.0, 3.0, 4.0, 0.5)
-        assert format_record(record) == "3,7,1.00,2.00,3.00,4.00,0.5000,-1,-1,-1"
+    def test_canonical_line(self, tmp_path):
+        path = tmp_path / "res.txt"
+        boxes = FrameBoxes(np.array([7]), np.array([[1.0, 2.0, 0.75, 4.0]]), np.array([0.5]))
+        write_results(path, [FrameResult(3, boxes)])
+        assert path.read_text() == "3,7,1.00,2.00,3.00,4.00,0.5000,-1,-1,-1\n"

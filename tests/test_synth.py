@@ -117,6 +117,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             simple_spec(frames=0)
 
+    @pytest.mark.parametrize("field", ["noise_std_px", "false_positive_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_nan_or_negative_rate_is_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative, got {value}$"):
+            simple_spec(**{field: value})
+
 
 class TestBuiltinScenarios:
     def test_contains_the_named_scenarios(self):

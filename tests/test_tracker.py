@@ -23,7 +23,7 @@ def status_of(tracker, track_id):
     for t in tracker.tracks:
         if t.track_id == track_id:
             return t.status
-    return TrackStatus.REMOVED
+    return None  # no live track holds the id: it was removed
 
 
 class TestFirstFrame:
@@ -154,7 +154,7 @@ class TestLifecycle:
             tracker.step(frame, [])
             assert status_of(tracker, track_id) is TrackStatus.LOST
         tracker.step(5, [])
-        assert status_of(tracker, track_id) is TrackStatus.REMOVED
+        assert status_of(tracker, track_id) is None
 
     def test_lost_track_resumes_with_original_id_within_budget(self):
         config = TrackerConfig(max_lost_frames=5)
@@ -176,7 +176,7 @@ class TestLifecycle:
         tracker.step(3, [])  # lost for exactly two frames now
         result = tracker.step(4, [det(100, 100, 50, 100, 0.95)])
         # the old id was retired before association; the detection seeds a new track
-        assert status_of(tracker, track_id) is TrackStatus.REMOVED
+        assert status_of(tracker, track_id) is None
         assert all(o.track_id != track_id for o in result.outputs)
 
     def test_unmatched_tentative_track_is_removed_immediately(self):
@@ -313,6 +313,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrackerConfig(max_lost_frames=0)
 
+    @pytest.mark.parametrize("gate", ["match_gate_stage1", "match_gate_stage2", "match_gate_unconfirmed"])
+    def test_nan_gate_is_rejected_by_name(self, gate):
+        with pytest.raises(ValueError, match=f"^{gate} must be non-negative$"):
+            TrackerConfig(**{gate: float("nan")})
+
 
 # schema key -> a valid non-default value
 NON_DEFAULT = {
@@ -325,8 +330,7 @@ NON_DEFAULT = {
     "max_lost_frames": 12,
     "use_height_term": False,
     "use_area_term": False,
-    "use_confidence_noise": False,
-    "use_velocity_blend": False,
+    "use_confidence": False,
 }
 
 
@@ -340,7 +344,7 @@ class TestWithValues:
             ("match_gate_stage1", float), ("match_gate_stage2", float),
             ("match_gate_unconfirmed", float), ("max_lost_frames", int),
             ("use_height_term", bool), ("use_area_term", bool),
-            ("use_confidence_noise", bool), ("use_velocity_blend", bool),
+            ("use_confidence", bool),
         ]
 
     @pytest.mark.parametrize("key", list(CONFIG_SCHEMA))
