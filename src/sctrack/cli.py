@@ -41,14 +41,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="IoU threshold for gt/hypothesis correspondence (default %(default)s)",
     )
 
+    scenarios = [spec.name for spec in synth.builtin_scenarios()]
     synth_cmd = sub.add_parser("synth", help="materialize a synthetic scenario")
-    synth_cmd.add_argument("--scenario", required=True, help="builtin scenario name")
+    synth_cmd.add_argument("--scenario", required=True, choices=scenarios, help="builtin scenario name")
     synth_cmd.add_argument("--output", required=True, help="output directory")
     synth_cmd.add_argument("--seed", type=int, help="override the scenario seed")
 
     ablate = sub.add_parser("ablate", help="compare association arms on synthetic data")
     ablate.add_argument(
-        "--scenario", action="append", dest="scenarios",
+        "--scenario", action="append", dest="scenarios", choices=scenarios,
         help="builtin scenario name (repeatable; default: crossing_distinct_shape "
         "and occlusion_lowconf)",
     )
@@ -185,12 +186,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        spec = synth.builtin_scenario(args.scenario, seed=args.seed)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 1
-    paths = synth.save_scenario(spec, args.output)
+    paths = synth.save_scenario(synth.builtin_scenario(args.scenario, seed=args.seed), args.output)
     print(f"wrote {paths['gt']}, {paths['det']}, {paths['meta']}")
     return 0
 

@@ -63,10 +63,6 @@ class BoundingBox:
     def w(self) -> float:
         return self.a * self.h
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
     def to_tlwh(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.w, self.h)
 

@@ -24,8 +24,8 @@ elementwise kernel over a table: row ``i`` of an ``(N, 8)`` mean and an
 ``var(rate)`` of x, y, a, h) is one filter.  The tracker calls the
 ``batch_*`` kernels on its whole track table once per frame; the one-row
 :func:`initiate`, :func:`predict`, :func:`update` and :func:`project` take a
-:class:`KalmanState` with the full 8x8 covariance (:func:`to_blocks` and
-:func:`to_dense` convert).  Callers never observe partial updates.
+:class:`KalmanState`, one such row: an ``(8,)`` mean and a ``(3, 4)``
+covariance.  Callers never observe partial updates.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ from .geometry import BoundingBox, Detection, xyah_to_corners
 
 STATE_DIM = 8
 MEASUREMENT_DIM = 4
-
-# block row k of axis i is entry (_BLOCK_ROWS[k, i], _BLOCK_COLS[k, i]) of the 8x8 matrix
-_BLOCK_ROWS = np.arange(MEASUREMENT_DIM) + np.array([[0], [0], [MEASUREMENT_DIM]])
-_BLOCK_COLS = np.arange(MEASUREMENT_DIM) + np.array([[0], [MEASUREMENT_DIM], [MEASUREMENT_DIM]])
 
 # dt = 1 constant-velocity step: each position picks up its rate, so a block
 # [var(pos), cov, var(rate)] = [P, C, V] becomes [P + 2C + V, C + V, V]
@@ -65,10 +61,17 @@ class InvalidStateError(ValueError):
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Filter snapshot: 8-vector mean and 8x8 covariance; treated as immutable."""
+    """Filter snapshot: ``(8,)`` mean and ``(3, 4)`` covariance block rows, one
+    row of the kernels' table; treated as immutable."""
 
     mean: np.ndarray
     covariance: np.ndarray
+
+    def __post_init__(self):
+        for name, shape in (("mean", (STATE_DIM,)), ("covariance", (3, MEASUREMENT_DIM))):
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ValueError(f"KalmanState.{name} must have shape {shape}, got {got}")
 
 
 # noise standard deviations are ``h * weight + constant``, h the box height:
@@ -171,44 +174,25 @@ def _box_row(box: BoundingBox) -> np.ndarray:
     return np.array([[box.x, box.y, box.a, box.h]])
 
 
-def to_blocks(covariance: np.ndarray) -> np.ndarray:
-    """The ``(..., 3, 4)`` block rows of ``(..., 8, 8)`` covariances; ValueError
-    for a matrix they cannot hold (asymmetric, or non-zero off the blocks)."""
-    covariance = np.asarray(covariance, dtype=np.float64)
-    if covariance.shape[-2:] != (STATE_DIM, STATE_DIM):
-        raise ValueError(f"covariance must be 8x8, got shape {covariance.shape}")
-    blocks = covariance[..., _BLOCK_ROWS, _BLOCK_COLS]
-    if not np.array_equal(to_dense(blocks), covariance, equal_nan=True):
-        raise ValueError("covariance must be symmetric with zeros outside the four (position, rate) blocks")
-    return blocks
-
-
-def to_dense(blocks: np.ndarray) -> np.ndarray:
-    """The ``(..., 8, 8)`` covariances of ``(..., 3, 4)`` block rows."""
-    dense = np.zeros(blocks.shape[:-2] + (STATE_DIM, STATE_DIM))
-    dense[..., _BLOCK_ROWS, _BLOCK_COLS] = dense[..., _BLOCK_COLS, _BLOCK_ROWS] = blocks
-    return dense
-
-
 def initiate(measurement: BoundingBox) -> KalmanState:
     """Start a new state from an observed box with zero initial velocity."""
     mean, covariance = batch_initiate(_box_row(measurement))
-    return KalmanState(mean=mean[0], covariance=to_dense(covariance[0]))
+    return KalmanState(mean=mean[0], covariance=covariance[0])
 
 
 def predict(state: KalmanState) -> KalmanState:
     """Advance the state by one frame under the constant-velocity model."""
-    mean, covariance = batch_predict(state.mean[None], to_blocks(state.covariance)[None])
-    return KalmanState(mean=mean[0], covariance=to_dense(covariance[0]))
+    mean, covariance = batch_predict(state.mean[None], state.covariance[None])
+    return KalmanState(mean=mean[0], covariance=covariance[0])
 
 
 def update(state: KalmanState, detection: Detection, *, use_confidence: bool = True) -> KalmanState:
     """Fold one detection (its score lies in [0, 1]) into a predicted state."""
     mean, covariance = batch_update(
-        state.mean[None], to_blocks(state.covariance)[None], _box_row(detection.box), [detection.score],
+        state.mean[None], state.covariance[None], _box_row(detection.box), [detection.score],
         use_confidence=use_confidence,
     )
-    return KalmanState(mean=mean[0], covariance=to_dense(covariance[0]))
+    return KalmanState(mean=mean[0], covariance=covariance[0])
 
 
 def project(state: KalmanState) -> BoundingBox:

@@ -12,7 +12,6 @@ re-parse to the same values and re-serialize byte-identically.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Iterable, NamedTuple
 
@@ -36,14 +35,6 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = path
         self.line_no = line_no
-
-
-@dataclass
-class ParseStats:
-    """Counters for tolerated irregularities encountered while reading."""
-
-    rejected_rows: int = 0
-    clamped_scores: int = 0
 
 
 class MotRecord(NamedTuple):
@@ -275,13 +266,14 @@ def _by_frame(frames: np.ndarray, *columns) -> dict:
     return dict(zip(map(int, keys.tolist()), zip(*parts)))
 
 
-def scan_detections(path) -> tuple[dict[int, np.ndarray], ParseStats]:
+def read_detections(path) -> dict[int, np.ndarray]:
     """Read a detection file as frame -> ``(n, 5)`` block ``[x, y, a, h, score]``.
 
     Rows with non-positive box sizes or corner-form areas, non-finite values
-    or a frame below 1 are rejected and counted; confidences outside [0, 1]
-    are clamped and counted.  The id column is ignored.  Frames are returned
-    in ascending order, rows in file order.
+    or a frame below 1 are rejected; confidences outside [0, 1] are clamped.
+    One warning is logged with both counts when either is non-zero.  The id
+    column is ignored.  Frames are returned in ascending order, rows in file
+    order.
     """
     block, line_nos, error = _read_block(path)
     xyah = _xyah(block)
@@ -289,22 +281,12 @@ def scan_detections(path) -> tuple[dict[int, np.ndarray], ParseStats]:
     _raise_first(path, line_nos, [(keep & _unformed(xyah), None)], xyah, error)
     conf = block[keep, 6]
     low, high = conf < 0.0, conf > 1.0
-    stats = ParseStats(
-        rejected_rows=len(keep) - len(conf), clamped_scores=int(np.count_nonzero(low | high))
-    )
-    if stats.rejected_rows or stats.clamped_scores:
-        logger.warning(
-            "%s: rejected %d row(s), clamped %d confidence value(s)",
-            path, stats.rejected_rows, stats.clamped_scores,
-        )
+    rejected, clamped = len(keep) - len(conf), int(np.count_nonzero(low | high))
+    if rejected or clamped:
+        logger.warning("%s: rejected %d row(s), clamped %d confidence value(s)", path, rejected, clamped)
     conf = np.where(low, 0.0, np.where(high, 1.0, conf))
     rows = np.column_stack((xyah[keep], conf))
-    return {frame: part for frame, (part,) in _by_frame(block[keep, 0], rows).items()}, stats
-
-
-def read_detections(path) -> dict[int, np.ndarray]:
-    """:func:`scan_detections` without its stats."""
-    return scan_detections(path)[0]
+    return {frame: part for frame, (part,) in _by_frame(block[keep, 0], rows).items()}
 
 
 def read_ground_truth_blocks(path) -> dict[int, FrameBoxes]:

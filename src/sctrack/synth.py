@@ -15,6 +15,8 @@ produces bit-identical ground truth and detections.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -46,7 +48,9 @@ GHOST_CLUTTER_OFFSET_MAX_PX = 160.0
 
 @dataclass(frozen=True)
 class ObjectSpec:
-    """One object: initial top-left/width/height box and per-frame velocity."""
+    """One object: initial top-left/width/height box and per-frame velocity.
+
+    :class:`ScenarioSpec` checks both, naming the object's index."""
 
     tlwh: tuple[float, float, float, float]
     velocity: tuple[float, float] = (0.0, 0.0)
@@ -64,8 +68,10 @@ class ScenarioSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.frames < 1:
-            raise ValueError(f"frames must be >= 1, got {self.frames}")
+        for name, least in (("frames", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (0.0 <= self.dropout_prob <= 1.0):
             raise ValueError(f"dropout_prob must lie in [0, 1], got {self.dropout_prob}")
         for name in ("noise_std_px", "false_positive_rate"):
@@ -80,6 +86,12 @@ class ScenarioSpec:
             o if isinstance(o, ObjectSpec) else ObjectSpec(tuple(o[0]), tuple(o[1]))
             for o in self.objects
         )
+        for i, obj in enumerate(objects):
+            for name, values, size in (("tlwh", obj.tlwh, 4), ("velocity", obj.velocity, 2)):
+                if len(values) != size or not all(map(math.isfinite, values)):
+                    raise ValueError(f"object {i}: {name} must be {size} finite numbers, got {values}")
+            if not min(obj.tlwh[2:]) >= MIN_BOX_SIDE:
+                raise ValueError(f"object {i}: tlwh width and height must be >= {MIN_BOX_SIDE}, got {obj.tlwh}")
         object.__setattr__(self, "objects", objects)
 
     def to_dict(self) -> dict:

@@ -32,7 +32,7 @@ from sctrack.kalman import (
     STATE_DIM,
 )
 from sctrack.metrics import MetricsReport
-from sctrack.motio import FIELD_COUNT, GroundTruthEntry, MotRecord, ParseError, ParseStats
+from sctrack.motio import FIELD_COUNT, GroundTruthEntry, MotRecord, ParseError
 from sctrack.tracker import TENTATIVE
 
 
@@ -491,22 +491,23 @@ def _box_ref(record):
 
 
 def scan_detections_ref(path):
+    """Detection blocks by frame, and the counts ``(rejected rows, clamped scores)``."""
     by_frame = {}
-    stats = ParseStats()
+    rejected = clamped = 0
     for _, record in iter_records_ref(path):
         if not _finite_box_fields_ref(record) or not _sized_ref(record) or record.frame < 1:
-            stats.rejected_rows += 1
+            rejected += 1
             continue
         conf = record.conf
         if conf < 0.0 or conf > 1.0:
             conf = min(max(conf, 0.0), 1.0)
-            stats.clamped_scores += 1
+            clamped += 1
         by_frame.setdefault(record.frame, []).append(Detection(box=_box_ref(record), score=conf))
     blocks = {
         frame: np.array([(d.box.x, d.box.y, d.box.a, d.box.h, d.score) for d in detections])
         for frame, detections in sorted(by_frame.items())
     }
-    return blocks, stats
+    return blocks, (rejected, clamped)
 
 
 def read_ground_truth_ref(path):
@@ -590,6 +591,20 @@ def stacked_update_ref(
 # The stacked-matrix kernels the per-axis block kernels replaced, kept as they
 # were: full transition matmuls, one 4x4 solve per row for the gain, and the
 # Joseph form with 8x8 matrices.  Means are (N, 8), covariances (N, 8, 8).
+
+def dense_covariance_ref(blocks) -> np.ndarray:
+    """The ``(..., 8, 8)`` covariances of the library's ``(..., 3, 4)`` block
+    rows: for coordinate i, rows 0, 1 and 2 hold var(state i),
+    cov(state i, state i + 4) and var(state i + 4); every other entry is 0."""
+    blocks = np.asarray(blocks, dtype=np.float64)
+    dense = np.zeros(blocks.shape[:-2] + (STATE_DIM, STATE_DIM))
+    for i in range(MEASUREMENT_DIM):
+        rate = MEASUREMENT_DIM + i
+        dense[..., i, i] = blocks[..., 0, i]
+        dense[..., i, rate] = dense[..., rate, i] = blocks[..., 1, i]
+        dense[..., rate, rate] = blocks[..., 2, i]
+    return dense
+
 
 # dt = 1 constant-velocity transition: position components pick up their rates
 _TRANSITION = np.eye(STATE_DIM)

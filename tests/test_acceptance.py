@@ -18,7 +18,7 @@ from sctrack.geometry import (
     iou,
     shape_iou_distance,
 )
-from sctrack.kalman import _measurement_variances, initiate, predict, project, to_blocks, update
+from sctrack.kalman import _measurement_variances, initiate, predict, project, update
 from sctrack.metrics import evaluate
 from sctrack.motio import ParseError, read_detections, read_results, write_results
 from sctrack.synth import builtin_scenario, generate
@@ -106,7 +106,7 @@ def test_criterion_04_confidence_update_boundary_identities():
 
     def unblended(score):
         # the update with confidence-scaled noise and no velocity blend
-        args = (state.mean[None], to_blocks(state.covariance)[None], np.array([[meas.x, meas.y, meas.a, meas.h]]))
+        args = (state.mean[None], state.covariance[None], np.array([[meas.x, meas.y, meas.a, meas.h]]))
         return stacked_update_ref(*args, [score], use_velocity_blend=False)[0][0]
 
     assert np.array_equal(noise(0.0), noise(0.0, use_confidence=False))

@@ -8,7 +8,7 @@ from sctrack import tracker
 from sctrack.cli import _tracker_config, build_parser, load_config, main
 from sctrack.metrics import MetricsReport
 from sctrack.motio import read_detections, read_ground_truth, read_results
-from sctrack.synth import builtin_scenario, save_scenario
+from sctrack.synth import builtin_scenario, builtin_scenarios, save_scenario
 from sctrack.tracker import TrackerConfig
 
 
@@ -375,9 +375,17 @@ class TestSynth:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_unknown_scenario_lists_names(self, tmp_path, capsys):
-        assert main(["synth", "--scenario", "wibble", "--output", str(tmp_path / "x")]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--scenario", "wibble", "--output", str(tmp_path / "x")])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "straight_clean" in err and "occlusion_lowconf" in err
+        assert all(spec.name in err for spec in builtin_scenarios())
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_is_an_error_line_naming_rng_seed(self, tmp_path, capsys):
+        argv = ["synth", "--scenario", "straight_clean", "--seed", "-1", "--output", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: rng_seed must be an integer >= 0, got -1\n"
 
 
 class TestAblate:
@@ -411,6 +419,14 @@ class TestAblate:
         for line in data_lines:
             assert "100.0" in line
             assert line.rstrip().endswith("0")
+
+    def test_unknown_scenario_is_a_usage_error_listing_every_name(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--scenario", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err
+        assert all(spec.name in err for spec in builtin_scenarios())
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_non_positive_seed_count_is_a_usage_error(self, count, capsys):

@@ -9,11 +9,13 @@ from sctrack.kalman import (
     initiate,
     predict,
     project,
-    to_blocks,
     update,
 )
 
-from _oracles import stacked_update_ref
+from _oracles import dense_covariance_ref, stacked_update_ref
+
+# the block rows [var(pos), cov(pos, rate), var(rate)] of the 8x8 identity
+IDENTITY_BLOCKS = np.array([[1.0] * 4, [0.0] * 4, [1.0] * 4])
 
 
 def tlwh(x, y, w, h):
@@ -24,7 +26,7 @@ def unblended_mean(state, detection):
     """The posterior mean with confidence-scaled noise and no velocity blend."""
     box = detection.box
     mean, _ = stacked_update_ref(
-        state.mean[None], to_blocks(state.covariance)[None], np.array([[box.x, box.y, box.a, box.h]]),
+        state.mean[None], state.covariance[None], np.array([[box.x, box.y, box.a, box.h]]),
         [detection.score], use_velocity_blend=False,
     )
     return mean[0]
@@ -34,7 +36,8 @@ def noise(state, score, use_confidence=True):
     return _measurement_variances(state.mean[None, 3], np.array([score]), use_confidence)
 
 
-def assert_symmetric_psd(cov, tol=1e-9):
+def assert_symmetric_psd(blocks, tol=1e-9):
+    cov = dense_covariance_ref(blocks)
     assert np.max(np.abs(cov - cov.T)) <= tol
     assert np.linalg.eigvalsh(cov).min() >= -tol
 
@@ -60,14 +63,14 @@ class TestInitiate:
 class TestPredict:
     def test_zero_velocity_keeps_position(self):
         state = KalmanState(
-            mean=np.array([0.0, 0, 1, 10, 0, 0, 0, 0]), covariance=np.eye(8)
+            mean=np.array([0.0, 0, 1, 10, 0, 0, 0, 0]), covariance=IDENTITY_BLOCKS
         )
         out = predict(state)
         assert np.array_equal(out.mean[:4], [0, 0, 1, 10])
 
     def test_velocity_moves_position_one_step(self):
         state = KalmanState(
-            mean=np.array([0.0, 0, 1, 10, 2, 3, 0, 0]), covariance=np.eye(8)
+            mean=np.array([0.0, 0, 1, 10, 2, 3, 0, 0]), covariance=IDENTITY_BLOCKS
         )
         out = predict(state)
         assert np.array_equal(out.mean[:4], [2, 3, 1, 10])
@@ -77,7 +80,7 @@ class TestPredict:
         state = initiate(tlwh(5, 5, 40, 80))
         for _ in range(20):
             new = predict(state)
-            assert np.trace(new.covariance) > np.trace(state.covariance)
+            assert np.trace(dense_covariance_ref(new.covariance)) > np.trace(dense_covariance_ref(state.covariance))
             state = new
 
     def test_input_state_untouched(self):
@@ -150,7 +153,7 @@ class TestFilterBehaviour:
         for _ in range(50):
             state = predict(state)
             state = update(state, Detection(target, 0.9), use_confidence=False)
-            var = (state.covariance[0, 0], state.covariance[1, 1])
+            var = tuple(state.covariance[0, :2])  # var(x), var(y)
             if prev is not None:
                 assert var[0] <= prev[0] + 1e-12
                 assert var[1] <= prev[1] + 1e-12
@@ -190,7 +193,7 @@ def project_or_none(state):
 class TestProject:
     def test_reads_box_from_mean(self):
         state = KalmanState(
-            mean=np.array([1.0, 2, 0.5, 20, 0, 0, 0, 0]), covariance=np.eye(8)
+            mean=np.array([1.0, 2, 0.5, 20, 0, 0, 0, 0]), covariance=IDENTITY_BLOCKS
         )
         box = project(state)
         assert box.to_tlwh() == (1, 2, 10, 20)
@@ -201,14 +204,14 @@ class TestProject:
 
     def test_rejects_degenerate_height(self):
         state = KalmanState(
-            mean=np.array([0.0, 0, 0.5, -1, 0, 0, 0, 0]), covariance=np.eye(8)
+            mean=np.array([0.0, 0, 0.5, -1, 0, 0, 0, 0]), covariance=IDENTITY_BLOCKS
         )
         with pytest.raises(InvalidStateError):
             project(state)
 
     def test_rejects_degenerate_aspect(self):
         state = KalmanState(
-            mean=np.array([0.0, 0, -0.5, 10, 0, 0, 0, 0]), covariance=np.eye(8)
+            mean=np.array([0.0, 0, -0.5, 10, 0, 0, 0, 0]), covariance=IDENTITY_BLOCKS
         )
         with pytest.raises(InvalidStateError):
             project(state)

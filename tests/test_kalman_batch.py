@@ -5,16 +5,24 @@ the dense 8x8 matrix filter of ``_oracles``, the covariance must stay
 symmetric PSD for any confidence score in [0, 1], and the projection's
 validity mask must be False exactly where the scalar ``project`` raises.
 The update must also give the same bits as the stacked form it replaced.
-The kernels hold each covariance as its four (position, rate) blocks; the
-scalar functions take and return the full 8x8 matrix.
+The kernels and the scalar functions hold each covariance as its four
+(position, rate) blocks; the oracle expands them to the 8x8 matrix.
 """
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import dense_initiate_ref, dense_predict_ref, dense_update_ref, stacked_update_ref
+from _oracles import (
+    dense_covariance_ref,
+    dense_initiate_ref,
+    dense_predict_ref,
+    dense_update_ref,
+    stacked_update_ref,
+)
 from sctrack.geometry import BoundingBox, Detection
 from sctrack.kalman import (
     InvalidStateError,
@@ -26,8 +34,6 @@ from sctrack.kalman import (
     initiate,
     predict,
     project,
-    to_blocks,
-    to_dense,
     update,
 )
 
@@ -61,8 +67,8 @@ def assert_close(batched, singles):
 
 
 def blocks_of(states):
-    """The ``(N, 3, 4)`` block form of the states' 8x8 covariances."""
-    return to_blocks(np.array([s.covariance for s in states]).reshape(-1, 8, 8))
+    """The states' covariances as one ``(N, 3, 4)`` table."""
+    return np.array([s.covariance for s in states]).reshape(-1, 3, 4)
 
 
 def tracked_states(box_list, steps, switches):
@@ -137,7 +143,7 @@ def test_covariance_stays_symmetric_psd_for_any_scores(score_rows, box, switches
         measured = mean[:, :4] + np.array([2.0, -1.0, 0.0, 0.5])
         mean, covariance = batch_update(mean, covariance, measured, padded[:, frame], **switches)
         # the block form is symmetric by construction; PSD is checked on the 8x8 matrix
-        eigenvalues = np.linalg.eigvalsh(to_dense(covariance))
+        eigenvalues = np.linalg.eigvalsh(dense_covariance_ref(covariance))
         scale = np.maximum(1.0, np.abs(eigenvalues).max(axis=1))
         assert np.all(eigenvalues.min(axis=1) >= -1e-9 * scale)
 
@@ -167,7 +173,7 @@ def test_validity_mask_is_false_exactly_where_project_raises(rows):
     for row, ok, corner in zip(mean, valid, corners):
         # the rule itself: exactly the rows a BoundingBox accepts
         assert ok == box_accepts(row[:4])
-        state = KalmanState(mean=row, covariance=np.eye(8))
+        state = KalmanState(mean=row, covariance=np.zeros((3, 4)))
         if ok:
             assert tuple(corner) == project(state).to_corners()
         else:
@@ -197,7 +203,7 @@ def assert_matches_dense(blocks, dense):
     scale); the oracle's off-block entries are exactly 0."""
     assert not dense[:, OFF_BLOCK].any()
     scale = np.maximum(1.0, np.abs(dense).max(axis=(1, 2)))
-    assert np.all(np.abs(to_dense(blocks) - dense) <= TOL * scale[:, None, None])
+    assert np.all(np.abs(dense_covariance_ref(blocks) - dense) <= TOL * scale[:, None, None])
 
 
 @PROPERTY_SETTINGS
@@ -212,12 +218,12 @@ def test_block_kernels_match_the_dense_oracle(rows, steps, switches):
         measured = rows_of(measured_boxes) + np.array([3.0 * k, -2.0 * k, 0.0, k])
         # each kernel against the oracle on the same input
         predicted = batch_predict(mean, covariance)
-        expected = dense_predict_ref(mean, to_dense(covariance))
+        expected = dense_predict_ref(mean, dense_covariance_ref(covariance))
         assert_close(predicted[0], expected[0])
         assert_matches_dense(predicted[1], expected[1])
         mean, covariance = batch_update(*predicted, measured, row_scores, **switches)
         expected = dense_update_ref(
-            predicted[0], to_dense(predicted[1]), measured, row_scores, **oracle_switches(switches)
+            predicted[0], dense_covariance_ref(predicted[1]), measured, row_scores, **oracle_switches(switches)
         )
         assert_close(mean, expected[0])
         assert_matches_dense(covariance, expected[1])
@@ -228,31 +234,20 @@ def test_block_kernels_match_the_dense_oracle(rows, steps, switches):
         assert not oracle_covariance[:, OFF_BLOCK].any()
 
 
-def test_converters_round_trip_the_blocks():
-    blocks = np.arange(1.0, 13.0).reshape(3, 4)
-    dense = to_dense(blocks)
+def test_dense_oracle_form_places_the_blocks():
+    dense = dense_covariance_ref(np.arange(1.0, 13.0).reshape(3, 4))
     assert np.array_equal(dense, dense.T)
-    assert np.array_equal(to_blocks(dense), blocks)
     assert np.array_equal(dense == 0, OFF_BLOCK)
     assert dense[0, 0] == 1.0 and dense[3, 7] == dense[7, 3] == 8.0 and dense[7, 7] == 12.0
 
 
-@pytest.mark.parametrize("entry", [(0, 1), (0, 5), (3, 6)], ids=["pos_pos", "pos_rate", "h_rate_a"])
-def test_one_row_calls_reject_an_off_block_covariance(entry):
+@pytest.mark.parametrize(
+    "field, value",
+    [("mean", np.zeros(4)), ("mean", np.zeros((1, 8))), ("covariance", np.eye(8)), ("covariance", np.zeros((4, 3)))],
+    ids=["short_mean", "row_mean", "dense_covariance", "transposed_covariance"],
+)
+def test_state_rejects_a_misshapen_mean_or_covariance(field, value):
     state = initiate(BoundingBox.from_tlwh(10, 20, 30, 60))
-    covariance = state.covariance.copy()
-    covariance[entry] = covariance[entry[::-1]] = 0.5
-    off_block = KalmanState(mean=state.mean, covariance=covariance)
-    for call in (predict, lambda s: update(s, Detection(BoundingBox.from_tlwh(11, 20, 30, 60), 0.8))):
-        with pytest.raises(ValueError, match="outside the four"):
-            call(off_block)
-
-
-def test_one_row_calls_reject_an_asymmetric_or_misshapen_covariance():
-    state = initiate(BoundingBox.from_tlwh(10, 20, 30, 60))
-    asymmetric = state.covariance.copy()
-    asymmetric[0, 4] += 1.0
-    with pytest.raises(ValueError, match="symmetric"):
-        predict(KalmanState(mean=state.mean, covariance=asymmetric))
-    with pytest.raises(ValueError, match="8x8"):
-        predict(KalmanState(mean=state.mean, covariance=np.eye(4)))
+    fields = {"mean": state.mean, "covariance": state.covariance, field: value}
+    with pytest.raises(ValueError, match=rf"^KalmanState\.{field} must have shape .*, got {re.escape(str(value.shape))}$"):
+        KalmanState(**fields)

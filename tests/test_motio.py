@@ -15,7 +15,6 @@ from sctrack.motio import (
     read_ground_truth,
     read_ground_truth_blocks,
     read_results,
-    scan_detections,
     write_detections,
     write_ground_truth,
     write_results,
@@ -48,7 +47,7 @@ class TestDetectionReading:
         read_back = [r for _, r in iter_records(path)]
         assert read_back == [MotRecord(1, -1, 10.25, 20.50, 30.00, 40.75, 0.8765)]
 
-    def test_rejects_bad_height_row_but_continues(self, tmp_path):
+    def test_rejects_bad_height_row_but_continues(self, tmp_path, caplog):
         path = tmp_path / "det.txt"
         write_lines(
             path,
@@ -58,11 +57,11 @@ class TestDetectionReading:
                 "2,-1,11.00,21.00,30.00,40.00,0.8000,-1,-1,-1",
             ],
         )
-        by_frame, stats = scan_detections(path)
-        assert stats.rejected_rows == 1
+        by_frame = read_detections(path)
+        assert caplog.messages == [f"{path}: rejected 1 row(s), clamped 0 confidence value(s)"]
         assert len(by_frame[1]) == 1 and len(by_frame[2]) == 1
 
-    def test_conf_clamped_with_counter(self, tmp_path):
+    def test_conf_clamped_with_counter(self, tmp_path, caplog):
         path = tmp_path / "det.txt"
         write_lines(
             path,
@@ -71,8 +70,8 @@ class TestDetectionReading:
                 "1,-1,50.00,20.00,30.00,40.00,-0.2000,-1,-1,-1",
             ],
         )
-        by_frame, stats = scan_detections(path)
-        assert stats.clamped_scores == 2
+        by_frame = read_detections(path)
+        assert caplog.messages == [f"{path}: rejected 0 row(s), clamped 2 confidence value(s)"]
         assert by_frame[1][:, 4].tolist() == [1.0, 0.0]
 
     def test_out_of_order_frames_sorted(self, tmp_path):
@@ -223,11 +222,11 @@ class TestZeroAreaBoxes:
     IDS = ["x_plus_w_is_x", "area_underflows", "area_overflows", "width_square_overflows", "height_square_overflows"]
 
     @pytest.mark.parametrize("row", ROWS, ids=IDS)
-    def test_detections_reject_and_count_the_row(self, tmp_path, row):
+    def test_detections_reject_and_count_the_row(self, tmp_path, row, caplog):
         path = tmp_path / "det.txt"
         write_lines(path, [self.GOOD, row])
-        by_frame, stats = scan_detections(path)
-        assert stats.rejected_rows == 1
+        by_frame = read_detections(path)
+        assert caplog.messages == [f"{path}: rejected 1 row(s), clamped 0 confidence value(s)"]
         assert by_frame[1].tolist() == [[40.0, 10.0, 1.0, 5.0, 1.0]]
 
     @pytest.mark.parametrize("row", ROWS, ids=IDS)
@@ -287,7 +286,7 @@ class TestExactKeys:
         assert [e.track_id for e in read_ground_truth(path)[1]] == [9007199254740991, 7]
 
     READERS = {
-        "scan_detections": scan_detections,
+        "read_detections": read_detections,
         "read_ground_truth_blocks": read_ground_truth_blocks,
         "read_results": read_results,
         "iter_records": lambda path: list(iter_records(path)),

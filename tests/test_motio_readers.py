@@ -115,10 +115,26 @@ def outcome(read, path):
         result = read(path)
     except ValueError as exc:  # ParseError, or a box the row cannot form
         return type(exc), str(exc)
-    if isinstance(result, tuple):
-        by_frame, stats = result
-        return plain(list(by_frame.items())), stats
     return plain(list(result.items()))
+
+
+def detection_outcome(read, path):
+    """:func:`outcome` with the counts ``(rejected rows, clamped scores)``: the
+    reference returns them, the reader logs them in one warning when either
+    is non-zero."""
+    with mock.patch.object(motio.logger, "warning") as warning:
+        try:
+            result = read(path)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    if isinstance(result, tuple):
+        by_frame, counts = result
+    else:
+        by_frame, counts = result, (0, 0)
+        if warning.called:
+            (call,) = warning.call_args_list
+            counts = call.args[2:]
+    return plain(list(by_frame.items())), counts
 
 
 def records(iterate, path):
@@ -133,7 +149,7 @@ def records(iterate, path):
 
 
 READERS = [
-    (motio.scan_detections, scan_detections_ref, outcome),
+    (motio.read_detections, scan_detections_ref, detection_outcome),
     (motio.read_ground_truth, read_ground_truth_ref, outcome),
     (motio.read_results, read_results_ref, outcome),
     (motio.iter_records, iter_records_ref, records),

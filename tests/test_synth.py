@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,37 @@ class TestGenerate:
     def test_nan_or_negative_rate_is_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be non-negative, got {value}$"):
             simple_spec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("frames", 2.5, "frames must be an integer >= 1, got 2.5"),
+            ("frames", 0, "frames must be an integer >= 1, got 0"),
+            ("rng_seed", -1, "rng_seed must be an integer >= 0, got -1"),
+            ("rng_seed", 1.0, "rng_seed must be an integer >= 0, got 1.0"),
+        ],
+        ids=["fractional_frames", "zero_frames", "negative_seed", "float_seed"],
+    )
+    def test_bad_frame_count_or_seed_is_rejected_by_name(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simple_spec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (ObjectSpec((100, 100, -50, 100), (1, 0)), "tlwh width and height must be >= 1.0"),
+            (ObjectSpec((100, 100, 50, 0.5), (1, 0)), "tlwh width and height must be >= 1.0"),
+            (ObjectSpec((float("nan"), 100, 50, 100), (1, 0)), "tlwh must be 4 finite numbers"),
+            (ObjectSpec((100, 100, 50, float("inf")), (1, 0)), "tlwh must be 4 finite numbers"),
+            (ObjectSpec((100, 100, 50, 100), (1, float("nan"))), "velocity must be 2 finite numbers"),
+            (ObjectSpec((100, 100, 50), (1, 0)), "tlwh must be 4 finite numbers"),
+        ],
+        ids=["negative_width", "short_height", "nan_x", "infinite_height", "nan_velocity", "three_fields"],
+    )
+    def test_bad_object_is_rejected_by_index_and_field(self, obj, message):
+        good = ObjectSpec((10.0, 10.0, 50.0, 100.0))
+        with pytest.raises(ValueError, match=f"^object 1: {re.escape(message)}, got "):
+            simple_spec(objects=(good, obj))
 
 
 class TestBuiltinScenarios:
