@@ -9,14 +9,65 @@ from the solution.
 
 :func:`solve_pairs` takes the same problem as a list of candidate pairs, every
 pair off the list infeasible, and solves only what needs a solver.
+
+The solver is scipy's ``linear_sum_assignment``, Crouse's shortest augmenting
+path (IEEE TAES 52(4), 2016), loaded from its own extension module.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+
+_LSAP = "scipy.optimize._lsap"
+
+
+def _load_lsap_extension():
+    """The extension module ``scipy/optimize/_lsap<suffix>`` loaded from its
+    file, or None when there is no such file or it does not load."""
+    import scipy
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_lsap" + suffix)
+        if os.path.isfile(path):
+            loader = ExtensionFileLoader(_LSAP, path)
+            try:
+                module = module_from_spec(spec_from_file_location(_LSAP, path, loader=loader))
+                loader.exec_module(module)
+            except ImportError:
+                return None
+            return module
+    return None
+
+
+def _load_linear_sum_assignment():
+    """scipy's ``linear_sum_assignment`` without running ``scipy.optimize``.
+
+    ``from scipy.optimize import ...`` first runs that package's
+    ``__init__``, which imports linalg, sparse and about 300 other modules
+    (~48 MB) around a C function that needs only numpy.  The extension is
+    registered under its own name, so a later ``import scipy.optimize``
+    reuses it and its public name is this same function.  A scipy whose
+    ``_lsap`` is not such an extension gets the public import.
+    ``importlib.util.find_spec`` cannot stand in for the file lookup: it
+    imports the parent package.
+    """
+    module = sys.modules.get(_LSAP) or _load_lsap_extension()
+    if hasattr(module, "linear_sum_assignment"):
+        sys.modules.setdefault(_LSAP, module)
+        return module.linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
+linear_sum_assignment = _load_linear_sum_assignment()
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import assignment
 from .frames import frame_boxes, repeated
@@ -269,5 +268,5 @@ def _identity_f1(hit_gt, hit_hyp, total: int) -> float:
         h_ids, c = np.unique(h[~alone], return_inverse=True)
         weights = np.zeros((len(g_ids), len(h_ids)))
         weights[r, c] = shared[~alone]
-        idtp += int(weights[linear_sum_assignment(weights, maximize=True)].sum())
+        idtp += int(weights[assignment.linear_sum_assignment(weights, maximize=True)].sum())
     return 2.0 * idtp / total

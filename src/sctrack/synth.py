@@ -214,9 +214,7 @@ def generate(spec: ScenarioSpec):
                 conf = 1.0
             else:
                 jitter = abs(rng.normal(0.0, CONFIDENCE_JITTER_STD))
-                conf = float(
-                    np.clip(CONFIDENCE_BASE - CONFIDENCE_OCCLUSION_SLOPE * occ - jitter, 0.0, 1.0)
-                )
+                conf = min(max(CONFIDENCE_BASE - CONFIDENCE_OCCLUSION_SLOPE * occ - jitter, 0.0), 1.0)
 
             box = corners if occ <= 0 else _truncate_to_visible(corners, occluders)
             if spec.noise_std_px > 0:

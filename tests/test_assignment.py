@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import sctrack
+from sctrack import assignment
 from sctrack.assignment import AssignmentResult, solve
 
 from _oracles import best_matching_ref, enumerate_matching_ref
@@ -124,3 +131,57 @@ class TestSolveProperties:
         costs = rng.uniform(0, 3, size=(6, 6))
         results = {str(solve(costs, 1.5)) for _ in range(10)}
         assert len(results) == 1
+
+
+class TestSolverLoader:
+    def test_is_scipys_public_function(self):
+        import scipy.optimize
+
+        assert assignment.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+
+    def test_missing_extension_file_takes_the_public_import(self, monkeypatch):
+        import scipy.optimize
+
+        monkeypatch.setattr(assignment, "EXTENSION_SUFFIXES", [".missing"])
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+        assert assignment._load_linear_sum_assignment() is scipy.optimize.linear_sum_assignment
+        assert "scipy.optimize._lsap" not in sys.modules
+
+    def test_unloadable_extension_file_takes_the_public_import(self, monkeypatch, tmp_path):
+        import scipy
+        import scipy.optimize
+
+        (tmp_path / "optimize").mkdir()
+        (tmp_path / "optimize" / ("_lsap" + assignment.EXTENSION_SUFFIXES[0])).write_bytes(b"not a library")
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+        assert assignment._load_linear_sum_assignment() is scipy.optimize.linear_sum_assignment
+        assert "scipy.optimize._lsap" not in sys.modules
+
+    def test_tracking_and_scoring_leave_scipy_optimize_unimported(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            import sctrack, sctrack.cli
+            from sctrack import BoundingBox
+
+            assert sctrack.solve(np.array([[0.1, 0.2], [0.1, 0.9]]), 1.0).matches == [(0, 1), (1, 0)]
+            a, b = BoundingBox.from_tlwh(0, 0, 10, 20), BoundingBox.from_tlwh(50, 0, 10, 20)
+            # gt id 1 meets hypotheses 7 and 8, so the identity matching needs the solver
+            report = sctrack.evaluate({1: [(1, a), (2, b)], 2: [(1, a)]}, {1: [(7, a), (8, b)], 2: [(8, a)]})
+            assert report.idsw == 1
+            loaded = [name for name in sys.modules if name.startswith("scipy.optimize")]
+            assert "scipy.optimize" not in sys.modules, f"{len(loaded)} scipy.optimize modules loaded"
+
+            # a later public import reuses the loaded extension
+            lsap = sys.modules["scipy.optimize._lsap"]
+            import scipy.optimize
+            assert sys.modules["scipy.optimize._lsap"] is lsap
+            assert scipy.optimize.linear_sum_assignment is sctrack.assignment.linear_sum_assignment
+            """
+        )
+        src = os.path.dirname(os.path.dirname(sctrack.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
