@@ -10,6 +10,7 @@ building blocks; the blocks are what travels from a file to a score.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +18,13 @@ import numpy as np
 from .geometry import BoundingBox, Detection
 
 DETECTION_COLUMNS = 5
+
+
+def _fields_block(rows: list, columns: int) -> np.ndarray:
+    """An ``(n, columns)`` float64 block of ``n`` rows of numbers, filled by
+    one ``np.fromiter`` over their flattened fields (bitwise what
+    ``np.array(rows, np.float64)`` gives, without its per-row parse)."""
+    return np.fromiter(chain.from_iterable(rows), np.float64, columns * len(rows)).reshape(-1, columns)
 
 
 class FrameBoxes(NamedTuple):
@@ -36,7 +44,7 @@ class FrameBoxes(NamedTuple):
         """A block from sequences of ids and :class:`BoundingBox` objects;
         scores default to 1."""
         ids = np.array(ids, dtype=np.int64)
-        xyah = np.array([(b.x, b.y, b.a, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+        xyah = _fields_block([(b.x, b.y, b.a, b.h) for b in boxes], 4)
         scores = np.ones(len(ids)) if scores is None else np.array(scores, dtype=np.float64)
         return cls(ids, xyah, scores)
 
@@ -82,7 +90,7 @@ def detection_block(detections) -> np.ndarray:
         if not isinstance(det, Detection):
             raise TypeError(f"expected Detection, got {type(det).__name__}")
     rows = [(d.box.x, d.box.y, d.box.a, d.box.h, d.score) for d in detections]
-    return np.array(rows, dtype=np.float64).reshape(-1, DETECTION_COLUMNS)
+    return _fields_block(rows, DETECTION_COLUMNS)
 
 
 def split(rows, sizes) -> list:

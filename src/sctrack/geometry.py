@@ -30,7 +30,7 @@ import numpy as np
 DEFAULT_EPSILON = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box: top-left corner, aspect ratio (w/h) and height.
 
@@ -71,7 +71,7 @@ class BoundingBox:
         return (self.x, self.y, self.x + self.w, self.y + self.h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A detector output: bounding box plus confidence score in [0, 1]."""
 

@@ -59,7 +59,7 @@ class InvalidStateError(ValueError):
     """The filtered state no longer describes a valid box (h or a <= 0)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KalmanState:
     """Filter snapshot: ``(8,)`` mean and ``(3, 4)`` covariance block rows, one
     row of the kernels' table; treated as immutable."""

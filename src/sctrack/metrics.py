@@ -146,23 +146,13 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
     """
     if not 0.0 < iou_match_thresh <= 1.0:
         raise ValueError(f"iou_match_thresh must lie in (0, 1], got {iou_match_thresh}")
-    gt_frames, gt_sizes, gt_ids, gt_corners = _frames(gt, "ground truth")
-    hyp_frames, hyp_sizes, hyp_ids, hyp_corners = _frames(results, "results")
-    gt_count, hyp_count = len(gt_ids), len(hyp_ids)
-    if gt_count == 0:
-        raise ValueError("ground truth is empty; tracking accuracy is undefined")
-    union = sorted(set(gt_frames) | set(hyp_frames))
-    rank = {frame: r for r, frame in enumerate(union)}
-    gt_rank = np.repeat(np.array([rank[frame] for frame in gt_frames], np.int64), gt_sizes)
-    hyp_rank = np.repeat(np.array([rank[frame] for frame in hyp_frames], np.int64), hyp_sizes)
-
     gate = 1.0 - iou_match_thresh
-    rows, cols, iou = _feasible_pairs(gt_rank, gt_corners, hyp_rank, hyp_corners, gate, union)
+    gt_ids, hyp_ids, frame, rows, cols, iou = _pairs(gt, results, gate)
+    gt_count, hyp_count = len(gt_ids), len(hyp_ids)
     hit = iou >= iou_match_thresh
     # each id's rank among the distinct ids of its side
     g = np.unique(gt_ids, return_inverse=True)[1][rows]
     h = np.unique(hyp_ids, return_inverse=True)[1][cols]
-    frame = gt_rank[rows]
     matched = _matched(frame, g * (hyp_count + 1) + h, hit, rows, cols, iou, gate)
 
     tp = int(np.count_nonzero(matched))
@@ -178,6 +168,24 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
     return MetricsReport(
         mota=mota, idf1=idf1, idsw=idsw, fp=fp, fn=fn, gt_count=gt_count, matches=tp
     )
+
+
+def _pairs(gt, results, gate):
+    """``(gt ids, hyp ids, frame rank, gt row, hyp row, IoU)`` of every
+    feasible pair of :func:`_feasible_pairs`, frame ranks ascending.
+
+    Both sides' corner tables and frame ranks live only for the sweep.
+    """
+    gt_frames, gt_sizes, gt_ids, gt_corners = _frames(gt, "ground truth")
+    hyp_frames, hyp_sizes, hyp_ids, hyp_corners = _frames(results, "results")
+    if len(gt_ids) == 0:
+        raise ValueError("ground truth is empty; tracking accuracy is undefined")
+    union = sorted(set(gt_frames) | set(hyp_frames))
+    rank = {frame: r for r, frame in enumerate(union)}
+    gt_rank = np.repeat(np.array([rank[frame] for frame in gt_frames], np.int64), gt_sizes)
+    hyp_rank = np.repeat(np.array([rank[frame] for frame in hyp_frames], np.int64), hyp_sizes)
+    rows, cols, iou = _feasible_pairs(gt_rank, gt_corners, hyp_rank, hyp_corners, gate, union)
+    return gt_ids, hyp_ids, gt_rank[rows], rows, cols, iou
 
 
 def _feasible_pairs(gt_rank, gt_corners, hyp_rank, hyp_corners, gate, frames):
@@ -224,7 +232,10 @@ def _matched(frame, id_pair, hit, rows, cols, iou, gate):
     # rows taken; a row lies in one frame, so no entry is ever reset
     partner = np.full(rows.max(initial=-1) + 1, -1)
     taken = np.zeros(cols.max(initial=-1) + 1, bool)
-    at = np.unique(frame[contested])
+    # the distinct frame ranks (ascending, >= 0) of the contested pairs; a
+    # plain np.unique would import numpy.ma to test the array for a mask
+    at = frame[contested]
+    at = at[np.diff(at, prepend=-1) != 0]
     # each such frame's pairs are [start, end), the previous frame's [before, start)
     befores = np.searchsorted(frame, at - 1).tolist()
     starts = np.searchsorted(frame, at).tolist()

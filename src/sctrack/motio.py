@@ -377,13 +377,21 @@ def _write_rows(path, rows: Iterable[tuple]) -> None:
 
 def _write_blocks(path, frames: list, blocks: list[FrameBoxes]) -> None:
     """Write per-frame blocks as lines ``frame, id, tlwh, score, -1, -1, -1``."""
+    _write_rows(path, _block_rows(frames, blocks))
+
+
+def _block_rows(frames: list, blocks: list[FrameBoxes]):
+    """Yield the rows of :func:`_write_rows` of per-frame blocks, converting
+    :data:`CHUNK_LINES` rows at a time to Python values."""
     if not blocks:
-        return _write_rows(path, [])
+        return
     ids, xyah, scores = (np.concatenate(column) for column in zip(*blocks))
     x, y, a, h = xyah.T
     frame = chain.from_iterable(map(repeat, frames, [len(b.ids) for b in blocks]))
-    columns = (ids.tolist(), x.tolist(), y.tolist(), (a * h).tolist(), h.tolist(), scores.tolist())
-    _write_rows(path, zip(frame, *columns))
+    columns = (ids, x, y, a * h, h, scores)
+    for start in range(0, len(ids), CHUNK_LINES):
+        chunk = [column[start : start + CHUNK_LINES].tolist() for column in columns]
+        yield from zip(islice(frame, len(chunk[0])), *chunk)
 
 
 def write_results(path, results: Iterable) -> None:

@@ -103,14 +103,14 @@ class TrackerConfig:
 CONFIG_SCHEMA = {f.name: type(f.default) for f in fields(TrackerConfig)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackOutput:
     track_id: int
     box: BoundingBox
     score: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FrameResult:
     """Confirmed tracks updated in one frame, at most one entry per id.
 

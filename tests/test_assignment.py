@@ -164,15 +164,19 @@ class TestSolverLoader:
             import sys
             import numpy as np
             import sctrack, sctrack.cli
-            from sctrack import BoundingBox
+            from sctrack import BoundingBox, Detection
 
             assert sctrack.solve(np.array([[0.1, 0.2], [0.1, 0.9]]), 1.0).matches == [(0, 1), (1, 0)]
             a, b = BoundingBox.from_tlwh(0, 0, 10, 20), BoundingBox.from_tlwh(50, 0, 10, 20)
+            tracked = sctrack.run_sequence({1: [Detection(a, 0.9), Detection(b, 0.8)], 2: [Detection(a, 0.9)]})
+            assert [len(r.boxes.ids) for r in tracked] == [2, 1]
             # gt id 1 meets hypotheses 7 and 8, so the identity matching needs the solver
             report = sctrack.evaluate({1: [(1, a), (2, b)], 2: [(1, a)]}, {1: [(7, a), (8, b)], 2: [(8, a)]})
             assert report.idsw == 1
             loaded = [name for name in sys.modules if name.startswith("scipy.optimize")]
             assert "scipy.optimize" not in sys.modules, f"{len(loaded)} scipy.optimize modules loaded"
+            # numpy loads numpy.ma on first use, which a plain np.unique makes
+            assert "numpy.ma" not in sys.modules
 
             # a later public import reuses the loaded extension
             lsap = sys.modules["scipy.optimize._lsap"]

@@ -23,8 +23,18 @@ def det(x, y, a, h, score):
     return Detection(BoundingBox(x, y, a, h), score)
 
 
-def same_bits(a: FrameBoxes, b: FrameBoxes) -> bool:
+def same_bits(a, b) -> bool:
+    """Two arrays, or two ``FrameBoxes`` column by column, with equal dtype, shape and bytes."""
+    if isinstance(a, np.ndarray):
+        a, b = [a], [b]
     return all(u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+
+# object fields as the objects accept them: floats (signed zeros, huge and
+# tiny values) and ints, some beyond 2**53, where float64 rounds
+numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70))
+sizes = st.one_of(st.floats(5e-324, 1e300), st.integers(1, 2**70))
+scores = st.one_of(st.floats(0, 1), st.integers(0, 1), st.booleans())
 
 
 class TestDetectionBlock:
@@ -38,8 +48,20 @@ class TestDetectionBlock:
         assert detection_block(np.zeros((0, 5))).shape == (0, 5)
 
     def test_non_detection_item_is_a_type_error(self):
-        with pytest.raises(TypeError, match="expected Detection, got tuple"):
-            detection_block([det(0, 0, 1, 1, 0.5), (0, 0, 1, 1, 0.5)])
+        for wrap in (list, iter):
+            with pytest.raises(TypeError, match="expected Detection, got tuple"):
+                detection_block(wrap([det(0, 0, 1, 1, 0.5), (0, 0, 1, 1, 0.5)]))
+
+    @settings(max_examples=200)
+    @given(rows=st.lists(st.tuples(st.builds(BoundingBox, *[numbers] * 2, *[sizes] * 2), scores), max_size=6))
+    def test_objects_give_the_array_of_their_fields_bit_for_bit(self, rows):
+        expected = np.array([(b.x, b.y, b.a, b.h, s) for b, s in rows], dtype=np.float64).reshape(-1, 5)
+        dets = [Detection(b, s) for b, s in rows]
+        ids = list(range(len(rows)))
+        for wrap in (list, iter):
+            assert same_bits(detection_block(wrap(dets)), expected)
+            block = FrameBoxes.of(ids, wrap([b for b, _ in rows]))
+            assert same_bits(block.xyah, np.ascontiguousarray(expected[:, :4]))
 
     @pytest.mark.parametrize("shape", [(5,), (2, 4), (1, 6), (1, 5, 1)])
     def test_wrong_shape_is_rejected(self, shape):

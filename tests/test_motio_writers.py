@@ -16,7 +16,8 @@ from sctrack import motio
 from sctrack.frames import FrameBoxes, detection_block
 from sctrack.geometry import BoundingBox, Detection
 from sctrack.motio import MotRecord, write_detections, write_ground_truth, write_results
-from sctrack.tracker import FrameResult
+from sctrack.synth import builtin_scenario, generate
+from sctrack.tracker import FrameResult, run_sequence
 
 from _oracles import format_record_ref
 
@@ -101,3 +102,13 @@ def test_ground_truth_blocks_keep_their_consider_flag(tmp_path):
     text = written(tmp_path, write_ground_truth, {2: block})
     assert text == "2,3,1.00,2.00,5.00,10.00,1.0000,-1,-1,-1\n2,4,1.00,2.00,5.00,10.00,0.0000,-1,-1,-1\n"
     assert motio.read_ground_truth_blocks(tmp_path / "out.txt")[2].scores.tolist() == [1.0, 0.0]
+
+
+def test_results_file_does_not_depend_on_the_chunk_size(tmp_path):
+    # a tracked sequence: many frames, whose rows straddle chunks of three
+    _, detections = generate(builtin_scenario("occlusion_lowconf", seed=2))
+    results = run_sequence(detections)
+    expected = written(tmp_path, write_results, results)
+    assert len(results) > 1 and expected.count("\n") > 100
+    with mock.patch.object(motio, "CHUNK_LINES", 3):
+        assert written(tmp_path, write_results, results) == expected
