@@ -41,12 +41,20 @@ class FrameBoxes(NamedTuple):
 
     @classmethod
     def of(cls, ids, boxes, scores=None) -> FrameBoxes:
-        """A block from sequences of ids and :class:`BoundingBox` objects;
-        scores default to 1."""
-        ids = np.array(ids, dtype=np.int64)
+        """A block from sequences of integer ids and :class:`BoundingBox`
+        objects; scores default to 1.  An id that is not an integer, or
+        sequences of unequal length, raise ValueError."""
+        ids = np.array(ids)
+        if ids.dtype.kind != "i":
+            with np.errstate(invalid="ignore"):  # NaN and inf cast to ints that differ from them
+                off = ids.astype(np.int64) != ids
+            if off.any():
+                raise ValueError(f"ids must be integers, got {ids[off.argmax()].item()!r}")
         xyah = _fields_block([(b.x, b.y, b.a, b.h) for b in boxes], 4)
         scores = np.ones(len(ids)) if scores is None else np.array(scores, dtype=np.float64)
-        return cls(ids, xyah, scores)
+        if not len(ids) == len(xyah) == len(scores):
+            raise ValueError(f"ids, boxes and scores have lengths {len(ids)}, {len(xyah)}, {len(scores)}")
+        return cls(ids.astype(np.int64, copy=False), xyah, scores)
 
     def select(self, mask) -> FrameBoxes:
         """The rows a boolean mask (or index array) picks."""
@@ -54,6 +62,20 @@ class FrameBoxes(NamedTuple):
 
 
 NO_BOXES = FrameBoxes(np.zeros(0, np.int64), np.zeros((0, 4)), np.zeros(0))
+
+
+def stacked(frames: list, blocks: list[FrameBoxes], source: str) -> tuple[FrameBoxes, list[int]]:
+    """The rows of per-frame blocks as one :class:`FrameBoxes`, and each
+    block's row count; the first block whose columns differ in length raises
+    ValueError naming ``source`` and its frame."""
+    # the empty block first, so that no blocks stack to it
+    columns = tuple(zip(NO_BOXES, *blocks))
+    sizes, boxes, scores = (list(map(len, column))[1:] for column in columns)
+    if sizes != boxes or sizes != scores:
+        k = next(k for k, lengths in enumerate(zip(sizes, boxes, scores)) if len(set(lengths)) > 1)
+        lengths = f"{sizes[k]}, {boxes[k]}, {scores[k]}"
+        raise ValueError(f"{source} frame {frames[k]}: ids, boxes and scores have lengths {lengths}")
+    return FrameBoxes(*map(np.concatenate, columns)), sizes
 
 
 def frame_boxes(rows) -> FrameBoxes:

@@ -215,31 +215,30 @@ def overlapping_pairs(corners_a: np.ndarray, corners_b: np.ndarray, keys_a=None,
     ulp, so that rounding cannot push an overlapping box out of the window);
     of those, the pairs whose y extents overlap are kept.  ``rows`` ascends.
 
-    With integer row keys ``keys_a`` and ``keys_b`` (say, frame numbers), only
-    pairs of equal keys are listed, the pairs each key's rows give on their
-    own: ``b`` is sorted by ``(key, x1)``, ``W`` is the widest ``b`` of the
-    key, and each window is searched within the rows of its own key,
-    comparing the coordinates as they are.
+    With row keys ``keys_a`` and ``keys_b`` (say, frame numbers), only pairs
+    of equal keys are listed, the pairs each key's rows give on their own:
+    every ``x`` is taken as the complex ``key + 1j * x``, which numpy sorts
+    real part first, and ``W`` is the widest ``b`` of the key.  A key outside
+    ``(-2**53, 2**53)``, where float64 holds every integer, raises ValueError.
     """
     a = np.asarray(corners_a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(corners_b, dtype=np.float64).reshape(-1, 4)
     if len(a) == 0 or len(b) == 0:
         return np.zeros(0, np.intp), np.zeros(0, np.intp)
+    at_b = _keyed(keys_b, b[:, 0])
+    order = np.argsort(at_b, kind="stable")
+    at_b, width = at_b[order], b[order, 2] - b[order, 0]
+    hi = np.searchsorted(at_b, _keyed(keys_a, a[:, 2]), side="left")
     if keys_a is None:
-        widest = np.nextafter((b[:, 2] - b[:, 0]).max(), np.inf)
-        order = np.argsort(b[:, 0], kind="stable")
-        x1 = b[order, 0]
-        lo = np.searchsorted(x1, a[:, 0] - widest, side="left")
-        hi = np.searchsorted(x1, a[:, 2], side="left")
+        widest = width.max()
     else:
-        # the widest box of each key; a row of a key that no b holds finds
-        # no b whatever width it takes
-        key_values, key_of_b = np.unique(keys_b, return_inverse=True)
-        widest = np.full(len(key_values), -np.inf)
-        np.maximum.at(widest, key_of_b, b[:, 2] - b[:, 0])
-        key_of_a = np.minimum(np.searchsorted(key_values, keys_a), len(key_values) - 1)
-        lo_x = a[:, 0] - np.nextafter(widest, np.inf)[key_of_a]
-        order, lo, hi = _keyed_windows(keys_a, keys_b, lo_x, a[:, 2], b[:, 0])
+        # each row takes the widest b of the key of the last b below its
+        # window's end; if that key is another, no b of the row's key lies
+        # below the end, and the window is empty at any width >= 0
+        first = np.diff(at_b.real, prepend=np.nan) != 0
+        run_of_b = np.cumsum(first) - 1
+        widest = np.maximum.reduceat(width, np.flatnonzero(first))[run_of_b[np.maximum(hi - 1, 0)]]
+    lo = np.searchsorted(at_b, _keyed(keys_a, a[:, 0] - np.nextafter(widest, np.inf)), side="left")
     counts = hi - lo
     rows = np.repeat(np.arange(len(a)), counts)
     # the k-th candidate of row i sits at sorted position lo[i] + k
@@ -250,28 +249,18 @@ def overlapping_pairs(corners_a: np.ndarray, corners_b: np.ndarray, keys_a=None,
     return rows[hit], cols[hit]
 
 
-def _keyed_windows(keys_a, keys_b, lo_x, hi_x, x1):
-    """The order that sorts ``b`` by ``(key, x1)``, and for each row of ``a``
-    the number of ``b`` rows below ``(key, lo_x)`` and below ``(key, hi_x)``
-    in that order.
-
-    The ``b`` rows and both bounds of every ``a`` row are sorted together by
-    ``(key, x)``.  A bound's count is that of the ``b`` rows before the first
-    entry equal to it, so that it holds whatever order the sort leaves ties in.
-    """
-    n_b, n_a = len(x1), len(lo_x)
-    keys = np.concatenate([keys_b, keys_a, keys_a])
-    values = np.concatenate([x1, lo_x, hi_x])
-    by_value = np.argsort(values)
-    merged = by_value[np.argsort(keys[by_value], kind="stable")]
-    keys, values = keys[merged], values[merged]
-    is_b = merged < n_b
-    first = np.ones(len(merged), bool)
-    first[1:] = (keys[1:] != keys[:-1]) | (values[1:] != values[:-1])
-    run_start = np.maximum.accumulate(np.where(first, np.arange(len(merged)), 0))
-    below = np.empty(len(merged), np.intp)
-    below[merged] = (np.cumsum(is_b) - is_b)[run_start]
-    return merged[is_b], below[n_b:n_b + n_a], below[n_b + n_a:]
+def _keyed(keys, x):
+    """``x`` without keys, else ``keys + 1j * x`` set part by part (``1j *
+    inf`` is ``nan + inf j``); a key outside ``(-2**53, 2**53)`` raises ValueError."""
+    if keys is None:
+        return x
+    keys = np.asarray(keys)
+    outside = ~((keys > -(2**53)) & (keys < 2**53))
+    if outside.any():
+        raise ValueError(f"row keys must lie in (-2**53, 2**53), got {keys[outside.argmax()].item()!r}")
+    at = np.empty(len(x), np.complex128)
+    at.real, at.imag = keys, x
+    return at
 
 
 def iou(b1: BoundingBox, b2: BoundingBox) -> float:

@@ -26,11 +26,12 @@ and only on those pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from . import assignment
-from .frames import frame_boxes, repeated
+from .frames import frame_boxes, repeated, stacked
 from .geometry import overlapping_pairs, paired_iou, xyah_to_corners
 # no longer called here, but kept importable from this module, where
 # instrumentation that wraps the evaluator's overlap kernel looks it up
@@ -87,31 +88,21 @@ def _frames(by_frame, source: str):
     frame, in the map's order, that repeats an id, and one whole-table test
     the first box, in frame order, that is not finite with ``a, h > 0``.
     """
-    frames, blocks = [], []
-    for frame, rows in by_frame.items():
-        block = frame_boxes(rows)
-        if len(block.ids):
-            frames.append(frame)
-            blocks.append(block)
-    if not blocks:
-        return [], [], np.zeros(0, np.int64), np.zeros((0, 4))
-    order = sorted(range(len(frames)), key=frames.__getitem__)
-    frames, blocks = [frames[k] for k in order], [blocks[k] for k in order]
-    sizes = [len(block.ids) for block in blocks]
-    ids = np.concatenate([block.ids for block in blocks])
-    frame_no = np.repeat(np.arange(len(blocks)), sizes)
+    frames = sorted(by_frame)
+    (ids, xyah, _), sizes = stacked(frames, [frame_boxes(by_frame[frame]) for frame in frames], source)
+    frame_no = np.repeat(np.arange(len(frames)), sizes)
     repeats = repeated(frame_no, ids)
     if repeats.any():
-        n = min(np.flatnonzero(repeats).tolist(), key=lambda n: order[frame_no[n]])
+        in_map = list(by_frame).index
+        n = min(np.flatnonzero(repeats).tolist(), key=lambda n: in_map(frames[frame_no[n]]))
         raise ValueError(f"{source} frame {frames[frame_no[n]]} repeats id {int(ids[n])}")
-    xyah = np.concatenate([block.xyah for block in blocks])
-    if not (np.isfinite(xyah).all() and xyah[:, 2:].min() > 0):
+    if len(xyah) and not (np.isfinite(xyah).all() and xyah[:, 2:].min() > 0):
         n = int(np.argmin(np.isfinite(xyah).all(axis=1) & (xyah[:, 2:] > 0).all(axis=1)))
         raise ValueError(
             f"{source} frame {frames[frame_no[n]]} id {int(ids[n])}: box [x, y, a, h] = {xyah[n].tolist()} "
             "needs finite fields, a > 0 and h > 0"
         )
-    return frames, sizes, ids, xyah_to_corners(xyah)
+    return list(compress(frames, sizes)), list(filter(None, sizes)), ids, xyah_to_corners(xyah)
 
 
 def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) -> MetricsReport:
@@ -140,9 +131,10 @@ def evaluate(gt, results, iou_match_thresh: float = DEFAULT_IOU_MATCH_THRESH) ->
             ground truth contains no boxes (the accuracy denominator would be
             undefined), if either input repeats an id within a frame (the
             correspondence would be ambiguous; the message names both), if
-            a box has a non-finite field or ``a <= 0`` or ``h <= 0`` (the
-            message names the side, frame and id), or if the IoU of two
-            overlapping boxes is not a number.
+            an id is not an integer, if a frame's ids, boxes and scores differ
+            in length, if a box has a non-finite field or ``a <= 0`` or ``h <=
+            0`` (the message names the side, frame and id), or if the IoU of
+            two overlapping boxes is not a number.
     """
     if not 0.0 < iou_match_thresh <= 1.0:
         raise ValueError(f"iou_match_thresh must lie in (0, 1], got {iou_match_thresh}")

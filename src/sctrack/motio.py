@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .frames import FrameBoxes, detection_block, frame_boxes, repeated, split
+from .frames import FrameBoxes, detection_block, frame_boxes, repeated, split, stacked
 from .geometry import BoundingBox, xyah_to_corners
 
 logger = logging.getLogger(__name__)
@@ -377,21 +377,17 @@ def _write_rows(path, rows: Iterable[tuple]) -> None:
 
 def _write_blocks(path, frames: list, blocks: list[FrameBoxes]) -> None:
     """Write per-frame blocks as lines ``frame, id, tlwh, score, -1, -1, -1``."""
-    _write_rows(path, _block_rows(frames, blocks))
-
-
-def _block_rows(frames: list, blocks: list[FrameBoxes]):
-    """Yield the rows of :func:`_write_rows` of per-frame blocks, converting
-    :data:`CHUNK_LINES` rows at a time to Python values."""
-    if not blocks:
-        return
-    ids, xyah, scores = (np.concatenate(column) for column in zip(*blocks))
+    (ids, xyah, scores), sizes = stacked(frames, blocks, f"cannot write {path}:")
     x, y, a, h = xyah.T
-    frame = chain.from_iterable(map(repeat, frames, [len(b.ids) for b in blocks]))
-    columns = (ids, x, y, a * h, h, scores)
-    for start in range(0, len(ids), CHUNK_LINES):
-        chunk = [column[start : start + CHUNK_LINES].tolist() for column in columns]
-        yield from zip(islice(frame, len(chunk[0])), *chunk)
+    columns = (np.repeat(frames, sizes), ids, x, y, a * h, h, scores)
+    _write_rows(path, _chunk_rows(columns, len(ids)))
+
+
+def _chunk_rows(columns, count: int):
+    """Yield the rows of equal-length columns, converting :data:`CHUNK_LINES`
+    rows at a time to Python values."""
+    for start in range(0, count, CHUNK_LINES):
+        yield from zip(*(column[start : start + CHUNK_LINES].tolist() for column in columns))
 
 
 def write_results(path, results: Iterable) -> None:

@@ -246,9 +246,10 @@ def test_overlapping_pairs_keep_boxes_that_overlap_by_a_sliver():
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1), m=st.integers(0, 40), n=st.integers(0, 40),
-    key_count=st.integers(1, 6), grid=st.booleans(),
+    key_count=st.integers(1, 6), grid=st.booleans(), offset=st.integers(-(2**52), 2**52),
+    one_sided=st.booleans(),
 )
-def test_keyed_pairs_are_the_per_key_union_of_unkeyed_pairs(seed, m, n, key_count, grid):
+def test_keyed_pairs_are_the_per_key_union_of_unkeyed_pairs(seed, m, n, key_count, grid, offset, one_sided):
     rng = np.random.default_rng(seed)
     a, b = random_corners(rng, m), random_corners(rng, n)
     if grid:
@@ -257,6 +258,12 @@ def test_keyed_pairs_are_the_per_key_union_of_unkeyed_pairs(seed, m, n, key_coun
         a[:, 2:], b[:, 2:] = np.maximum(a[:, 2:], a[:, :2] + 20.0), np.maximum(b[:, 2:], b[:, :2] + 20.0)
     # keys need not be contiguous or shared by both sides
     keys_a, keys_b = 3 * rng.integers(key_count, size=m), 3 * rng.integers(key_count, size=n)
+    if one_sided:
+        # a key below every key of b, and one above, that only a holds
+        keys_a[rng.random(m) < 0.3] = -3
+        keys_a[rng.random(m) < 0.3] = 3 * key_count
+    # negative and large keys are as exact in float64 as small ones
+    keys_a, keys_b = keys_a + offset, keys_b + offset
     rows, cols = overlapping_pairs(a, b, keys_a, keys_b)
     found = list(zip(rows.tolist(), cols.tolist()))
     assert (keys_a[rows] == keys_b[cols]).all()
@@ -267,6 +274,20 @@ def test_keyed_pairs_are_the_per_key_union_of_unkeyed_pairs(seed, m, n, key_coun
         r, c = overlapping_pairs(a[in_a], b[in_b])
         expected |= set(zip(in_a[r].tolist(), in_b[c].tolist()))
     assert len(set(found)) == len(found) and set(found) == expected
+
+
+@pytest.mark.parametrize("key", [2**53, -(2**53), 2**63 - 1, -(2**63), 2.0**60, float("nan")])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_keys_outside_the_exact_float_range_raise(key, side):
+    a = b = np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0]])
+    keys = {"a": np.array([0, 0]), "b": np.array([0, 0])}
+    keys[side] = np.array([0, key], dtype=np.float64 if isinstance(key, float) else np.int64)
+    with pytest.raises(ValueError, match=r"^row keys must lie in \(-2\*\*53, 2\*\*53\), got "):
+        overlapping_pairs(a, b, keys["a"], keys["b"])
+    # the largest keys inside the range still pair only with their equals
+    edge = np.array([2**53 - 1, -(2**53) + 1])
+    rows, cols = overlapping_pairs(a, b, edge, edge[::-1])
+    assert (rows.tolist(), cols.tolist()) == ([0, 1], [1, 0])
 
 
 def test_keyed_pairs_keep_boxes_that_overlap_by_a_sliver():

@@ -68,6 +68,18 @@ def jittered_scenario(seed, objects, frames, one_sided, as_blocks):
     return gt, results
 
 
+def reshuffled(by_frame, rng):
+    """The map with its frames re-inserted in random order, among empty
+    frames (``[]`` and an empty ``FrameBoxes``) before, between and after them."""
+    last = max(by_frame, default=0) + 2
+    empty = [f for f in range(-1, last + 1) if f not in by_frame and rng.random() < 0.5]
+    frames = list(by_frame) + empty
+    return {
+        f: by_frame[f] if f in by_frame else ([] if rng.random() < 0.5 else FrameBoxes.of([], []))
+        for f in rng.permutation(frames).tolist()
+    }
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -77,13 +89,19 @@ def jittered_scenario(seed, objects, frames, one_sided, as_blocks):
     as_blocks=st.booleans(),
     no_results=st.booleans(),
     thresh=st.sampled_from([0.3, 0.5, 1.0]),
+    shuffled=st.booleans(),
 )
-@example(seed=1, objects=6, frames=12, one_sided=True, as_blocks=False, no_results=True, thresh=0.5)
-@example(seed=2, objects=8, frames=15, one_sided=True, as_blocks=True, no_results=False, thresh=1.0)
-def test_reports_equal_the_per_frame_evaluator(seed, objects, frames, one_sided, as_blocks, no_results, thresh):
+@example(seed=1, objects=6, frames=12, one_sided=True, as_blocks=False, no_results=True, thresh=0.5, shuffled=False)
+@example(seed=2, objects=8, frames=15, one_sided=True, as_blocks=True, no_results=False, thresh=1.0, shuffled=False)
+def test_reports_equal_the_per_frame_evaluator(
+    seed, objects, frames, one_sided, as_blocks, no_results, thresh, shuffled
+):
     gt, results = jittered_scenario(seed, objects, frames, one_sided, as_blocks)
     if no_results:
         results = {}
+    if shuffled:
+        rng = np.random.default_rng([seed, 1])
+        gt, results = reshuffled(gt, rng), reshuffled(results, rng)
     assert evaluate(gt, results, thresh) == dense_evaluate_ref(gt, results, thresh)
 
 

@@ -5,6 +5,8 @@ The differential tests feed the tracker and the evaluator both forms over
 every pinned golden run and require identical outputs, bit for bit.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from sctrack.ablation import results_to_map
 from sctrack.frames import NO_BOXES, FrameBoxes, detection_block, frame_boxes, repeated, split
 from sctrack.geometry import BoundingBox, Detection
 from sctrack.metrics import evaluate
+from sctrack.motio import write_ground_truth
 from sctrack.tracker import FrameResult, SCTracker, TrackOutput, run_sequence
 
 
@@ -180,6 +183,58 @@ def test_empty_frames_and_missing_boxes():
     gt = {1: FrameBoxes.of([1], [box]), 2: NO_BOXES, 3: []}
     report = evaluate(gt, {1: NO_BOXES, 2: [(9, box)]})
     assert (report.fn, report.fp, report.gt_count, report.idf1) == (1, 1, 1, 0.0)
+
+
+def ragged(ids, boxes):
+    """A block whose columns differ in length: scores follow the ids."""
+    return FrameBoxes(np.array(ids), np.array([[0.0, 0.0, 1.0, 10.0]] * boxes), np.ones(len(ids)))
+
+
+@pytest.mark.parametrize("source,args", [("ground truth", 0), ("results", 1)])
+def test_columns_of_unequal_length_are_refused_by_the_evaluator(source, args):
+    # stacked as they are, the rows of frame 2 would shift into frame 1; the
+    # map scored against itself would read MOTA 100%
+    shifted = {2: ragged([3], 2), 1: ragged([1, 2], 1)}
+    box = BoundingBox(0.0, 0.0, 1.0, 10.0)
+    for ragged_map, message in [
+        (shifted, "frame 1: ids, boxes and scores have lengths 2, 1, 2"),
+        ({2: ragged([1, 2], 1)}, "frame 2: ids, boxes and scores have lengths 2, 1, 2"),
+        ({1: [(1, box)], 4: ragged([], 1)}, "frame 4: ids, boxes and scores have lengths 0, 1, 0"),
+    ]:
+        inputs = [{1: [(1, box)]}, {1: [(1, box)]}]
+        inputs[args] = ragged_map
+        with pytest.raises(ValueError, match=f"^{source} {message}$"):
+            evaluate(*inputs)
+
+
+def test_columns_of_unequal_length_are_refused_by_the_writer(tmp_path):
+    path = tmp_path / "gt.txt"
+    with pytest.raises(ValueError, match=r"frame 2: ids, boxes and scores have lengths 1, 2, 1$"):
+        write_ground_truth(path, {1: ragged([1, 2], 2), 2: ragged([3], 2)})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "ids,boxes,scores,lengths",
+    [([1, 2], 1, None, "2, 1, 2"), ([1], 2, None, "1, 2, 1"), ([1, 2], 2, [0.5], "2, 2, 1"), ([], 1, [], "0, 1, 0")],
+)
+def test_of_refuses_columns_of_unequal_length(ids, boxes, scores, lengths):
+    with pytest.raises(ValueError, match=f"^ids, boxes and scores have lengths {lengths}$"):
+        FrameBoxes.of(ids, [BoundingBox(0.0, 0.0, 1.0, 10.0)] * boxes, scores)
+
+
+def test_ids_that_are_not_integers_are_refused():
+    box = BoundingBox(0.0, 0.0, 1.0, 10.0)
+    # truncated, 1.5 and 1.7 would be one object, switching from 7 to 8
+    with pytest.raises(ValueError, match=r"^ids must be integers, got 1\.5$"):
+        evaluate({1: [(1.5, box)], 2: [(1.7, box)]}, {1: [(7, box)], 2: [(8, box)]})
+    for ids, bad in [([2, 2.5], "2.5"), ([float("nan")], "nan"), ([float("inf")], "inf"), ([1e300], "1e+300")]:
+        with pytest.raises(ValueError, match=f"^ids must be integers, got {re.escape(bad)}$"):
+            FrameBoxes.of(ids, [box] * len(ids))
+    for ids in ([1, 2], [1.0, 2.0], np.array([1, 2], np.int32), np.array([1, 2], np.uint8)):
+        block = FrameBoxes.of(ids, [box, box])
+        assert block.ids.dtype == np.int64 and block.ids.tolist() == [1, 2]
+    assert FrameBoxes.of([], []).ids.dtype == np.int64
 
 
 keys = st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), max_size=30)
